@@ -1,10 +1,10 @@
-#include <map>
 // Experiment E4 — microbenchmarks (google-benchmark): construction cost of
-// every substrate and routing throughput of every scheme. These quantify the
-// preprocessing/routing split the paper's model assumes (preprocessing is
-// offline; routing decisions must be cheap).
+// every substrate and the served routing throughput of every scheme. These
+// quantify the preprocessing/routing split the paper's model assumes
+// (preprocessing is offline; routing decisions must be cheap).
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <memory>
 
 #include "core/prng.hpp"
@@ -18,6 +18,11 @@
 #include "nets/ball_packing.hpp"
 #include "nets/rnet.hpp"
 #include "routing/naming.hpp"
+#include "runtime/hop_arena.hpp"
+#include "runtime/hop_hierarchical.hpp"
+#include "runtime/hop_scale_free.hpp"
+#include "runtime/hop_scale_free_ni.hpp"
+#include "runtime/hop_simple_ni.hpp"
 #include "search/search_tree.hpp"
 
 namespace compactroute {
@@ -120,47 +125,96 @@ void BM_ScaleFreeLabeledBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ScaleFreeLabeledBuild)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
-void BM_HierarchicalLabeledRoute(benchmark::State& state) {
-  const MetricSpace& metric = shared_metric(256);
-  const NetHierarchy& hierarchy = shared_hierarchy(256);
-  const HierarchicalLabeledScheme scheme(metric, hierarchy, 0.5);
-  Prng prng(1);
-  for (auto _ : state) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(metric.n()));
-    benchmark::DoNotOptimize(scheme.route(u, scheme.label(v)));
-  }
-}
-BENCHMARK(BM_HierarchicalLabeledRoute);
+// Served routing: one whole route per iteration, walked through the scheme's
+// step_inplace over one shared HopArena — the per-request work a Server does,
+// minus the queue. The arena is compiled from all four schemes, as a
+// snapshot-loaded epoch compiles it.
+struct ServedStack {
+  explicit ServedStack(std::size_t n)
+      : metric(shared_metric(n)),
+        hierarchy(shared_hierarchy(n)),
+        naming(Naming::random(metric.n(), 6)),
+        hier(metric, hierarchy, 0.5),
+        sf(metric, hierarchy, 0.5),
+        simple(metric, hierarchy, naming, hier, 0.5),
+        sfni(metric, hierarchy, naming, sf, 0.5),
+        arena(HopArena::build(hierarchy, &naming, &hier, &sf, &simple, &sfni)),
+        hier_hop(hier, arena),
+        sf_hop(sf, arena),
+        simple_hop(simple, hier, arena),
+        sfni_hop(sfni, sf, arena) {}
 
-void BM_ScaleFreeLabeledRoute(benchmark::State& state) {
-  const MetricSpace& metric = shared_metric(256);
-  const NetHierarchy& hierarchy = shared_hierarchy(256);
-  const ScaleFreeLabeledScheme scheme(metric, hierarchy, 0.5);
-  Prng prng(2);
-  for (auto _ : state) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(metric.n()));
-    benchmark::DoNotOptimize(scheme.route(u, scheme.label(v)));
-  }
-}
-BENCHMARK(BM_ScaleFreeLabeledRoute);
+  const MetricSpace& metric;
+  const NetHierarchy& hierarchy;
+  Naming naming;
+  HierarchicalLabeledScheme hier;
+  ScaleFreeLabeledScheme sf;
+  SimpleNameIndependentScheme simple;
+  ScaleFreeNameIndependentScheme sfni;
+  std::shared_ptr<const HopArena> arena;
+  HierarchicalHopScheme hier_hop;
+  ScaleFreeHopScheme sf_hop;
+  SimpleNameIndependentHopScheme simple_hop;
+  ScaleFreeNameIndependentHopScheme sfni_hop;
+};
 
-void BM_ScaleFreeNameIndependentRoute(benchmark::State& state) {
-  const MetricSpace& metric = shared_metric(256);
-  const NetHierarchy& hierarchy = shared_hierarchy(256);
-  static const Naming naming = Naming::random(metric.n(), 6);
-  static const ScaleFreeLabeledScheme labeled(metric, hierarchy, 0.5);
-  static const ScaleFreeNameIndependentScheme scheme(metric, hierarchy, naming,
-                                                     labeled, 0.5);
-  Prng prng(3);
-  for (auto _ : state) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(metric.n()));
-    benchmark::DoNotOptimize(scheme.route(u, naming.name_of(v)));
-  }
+const ServedStack& served_stack() {
+  static const ServedStack stack(256);
+  return stack;
 }
-BENCHMARK(BM_ScaleFreeNameIndependentRoute);
+
+/// Walks one route to delivery; returns its hop count.
+std::size_t walk(const HopScheme& scheme, NodeId src, std::uint64_t key) {
+  HopHeader header = scheme.make_header(src, key);
+  NodeId at = src;
+  NodeId next = kInvalidNode;
+  std::size_t hops = 0;
+  while (!scheme.step_inplace(at, header, &next)) {
+    at = next;
+    ++hops;
+  }
+  return hops;
+}
+
+template <typename KeyOf>
+void run_served(benchmark::State& state, const HopScheme& scheme,
+                std::uint64_t seed, const KeyOf& key_of) {
+  const std::size_t n = served_stack().metric.n();
+  Prng prng(seed);
+  std::size_t hops = 0;
+  for (auto _ : state) {
+    const NodeId u = static_cast<NodeId>(prng.next_below(n));
+    const NodeId v = static_cast<NodeId>(prng.next_below(n));
+    hops += walk(scheme, u, key_of(v));
+  }
+  state.counters["hops_per_route"] = benchmark::Counter(
+      static_cast<double>(hops), benchmark::Counter::kAvgIterations);
+}
+
+std::uint64_t label_key(NodeId v) {
+  return served_stack().hierarchy.leaf_label(v);
+}
+std::uint64_t name_key(NodeId v) { return served_stack().naming.name_of(v); }
+
+void BM_ServedHierarchicalLabeledRoute(benchmark::State& state) {
+  run_served(state, served_stack().hier_hop, 1, label_key);
+}
+BENCHMARK(BM_ServedHierarchicalLabeledRoute);
+
+void BM_ServedScaleFreeLabeledRoute(benchmark::State& state) {
+  run_served(state, served_stack().sf_hop, 2, label_key);
+}
+BENCHMARK(BM_ServedScaleFreeLabeledRoute);
+
+void BM_ServedSimpleNameIndependentRoute(benchmark::State& state) {
+  run_served(state, served_stack().simple_hop, 3, name_key);
+}
+BENCHMARK(BM_ServedSimpleNameIndependentRoute);
+
+void BM_ServedScaleFreeNameIndependentRoute(benchmark::State& state) {
+  run_served(state, served_stack().sfni_hop, 4, name_key);
+}
+BENCHMARK(BM_ServedScaleFreeNameIndependentRoute);
 
 }  // namespace
 }  // namespace compactroute

@@ -6,10 +6,9 @@
 // latency percentiles, hops per route, and the batch fingerprint.
 //
 // The loaded stack serves through one shared HopArena (flat hop-state slabs,
-// E10); the fresh in-process stack serves through the REFERENCE FSMs
-// (HopTables::kReference, the original nested-container walks). The
-// fingerprint equality check below therefore certifies both fidelity axes at
-// once: loaded == fresh AND arena == reference, route for route.
+// E10); the fresh in-process stack serves through private arenas compiled
+// from the built schemes. The fingerprint equality check below certifies
+// that the snapshot round trip changes no route.
 //
 // Headlines (n = 1024, 4 workers, `*_target_met` in BENCH_serving.json):
 //   * hop/labeled-hierarchical >= 1M routes/s
@@ -154,14 +153,14 @@ int main(int argc, char** argv) {
 
     const ServeStats s = serve_batch(loaded.csr, loaded_hop, requests);
 
-    // Fidelity gate: the loaded snapshot serving through the arena must
-    // route exactly like the fresh build stepping the reference FSMs.
+    // Fidelity gate: the loaded snapshot serving through the shared arena
+    // must route exactly like the fresh build.
     ServeOptions fp_only;
     fp_only.collect_latencies = false;
     const ServeStats fresh =
         serve_batch(stack.metric.csr(), fresh_hop, requests, fp_only);
     CR_CHECK_MSG(fresh.fingerprint == s.fingerprint,
-                 "loaded arena fingerprint diverges from fresh reference");
+                 "loaded arena fingerprint diverges from fresh build");
 
     std::printf("%-26s %12.0f %9.2f %9.2f %9.2f %9.2f %10.2f\n",
                 loaded_hop.name().c_str(), s.routes_per_sec, s.p50_us, s.p90_us,
@@ -186,24 +185,21 @@ int main(int argc, char** argv) {
     entry["p99_us"] = s.p99_us;
     entry["p999_us"] = s.p999_us;
     entry["max_us"] = s.max_us;
-    entry["fingerprint"] = s.fingerprint;
+    entry["fingerprint"] = bench::hex_fingerprint(s.fingerprint);
     entry["matches_fresh_build"] = true;  // CR_CHECK above aborts otherwise
     doc["schemes"].push_back(std::move(entry));
   };
 
   run(HierarchicalHopScheme(*loaded.hier, arena),
-      HierarchicalHopScheme(*stack.hier_labeled, HopTables::kReference),
-      labeled, /*headline=*/true, /*ni=*/false);
+      HierarchicalHopScheme(*stack.hier_labeled), labeled,
+      /*headline=*/true, /*ni=*/false);
   run(ScaleFreeHopScheme(*loaded.sf, arena),
-      ScaleFreeHopScheme(*stack.sf_labeled, HopTables::kReference), labeled,
-      false, false);
+      ScaleFreeHopScheme(*stack.sf_labeled), labeled, false, false);
   run(SimpleNameIndependentHopScheme(*loaded.simple, *loaded.hier, arena),
-      SimpleNameIndependentHopScheme(*stack.simple_ni, *stack.hier_labeled,
-                                     HopTables::kReference),
+      SimpleNameIndependentHopScheme(*stack.simple_ni, *stack.hier_labeled),
       named, false, /*ni=*/true);
   run(ScaleFreeNameIndependentHopScheme(*loaded.sfni, *loaded.sf, arena),
-      ScaleFreeNameIndependentHopScheme(*stack.sf_ni, *stack.sf_labeled,
-                                        HopTables::kReference),
+      ScaleFreeNameIndependentHopScheme(*stack.sf_ni, *stack.sf_labeled),
       named, false, /*ni=*/true);
 
   const bool target_met = headline_routes_per_sec >= kHeadlineRoutesPerSec;

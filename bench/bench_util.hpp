@@ -139,6 +139,15 @@ inline obs::JsonValue storage_to_json(const StorageStats& storage) {
   return v;
 }
 
+/// A 64-bit fingerprint as a "0x…" hex string: a JSON number is a double and
+/// would drop its low bits.
+inline std::string hex_fingerprint(std::uint64_t fingerprint) {
+  char text[19];
+  std::snprintf(text, sizeof(text), "0x%016llx",
+                static_cast<unsigned long long>(fingerprint));
+  return text;
+}
+
 /// Writes a bench's JSON document next to its printed table. A failure is
 /// loud (the run's artifact is missing) but not fatal — the printed table
 /// already carried the results.

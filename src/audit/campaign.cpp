@@ -38,7 +38,7 @@ struct WorkerGuard {
 };
 
 const char* backend_name(MetricBackendKind kind) {
-  return kind == MetricBackendKind::kDense ? "dense" : "lazy";
+  return kind == MetricBackendKind::kDense ? "dense" : "rowfree";
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ BallView BallOracle::ball(NodeId center, Weight radius) const {
 
   // Settle order is ascending (raw distance, id); the canonical row order is
   // ascending (normalized distance, id). Sort under the canonical comparator
-  // in case normalization collapses raw ties — the same re-sort the lazy
+  // in case normalization collapses raw ties — the same re-sort the row-free
   // backend's bounded ball path performs, so memberships stay bit-identical.
   std::vector<std::pair<Weight, NodeId>> members;
   members.reserve(ws.settled().size());

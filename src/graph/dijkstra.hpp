@@ -13,7 +13,7 @@
 // faster here than decrease-key position tracking, whose scattered
 // heap-position stores on every sift outweigh the rare stale pops they
 // avoid. Bounded runs (by radius or by settled count) stop as soon as the
-// ball of interest is settled, which is what lets the lazy metric backend
+// ball of interest is settled, which is what lets the row-free metric backend
 // answer B_u(r) queries without ever materializing a full distance row.
 //
 #include <cstddef>

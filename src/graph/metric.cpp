@@ -23,8 +23,6 @@ MetricSpace::MetricSpace(const Graph& graph, MetricOptions options)
     backend_ = make_dense_backend(*csr_);
     dense_dist_ = backend_->dense_dist_data();
     dense_parent_ = backend_->dense_parent_data();
-  } else if (options.backend == MetricBackendKind::kLazy) {
-    backend_ = make_lazy_backend(*csr_, options.cache_bytes);
   } else {
     backend_ = make_rowfree_backend(*csr_);
   }

@@ -6,8 +6,8 @@
 // paper's w.l.o.g. — hence the normalized diameter is simply
 // Δ = max_{u,v} d(u, v). MetricSpace is a facade over a MetricBackend
 // (graph/metric_backend.hpp): the dense backend precomputes all-pairs
-// matrices, the lazy backend computes rows on demand into a byte-budgeted
-// LRU cache and answers ball queries with bounded Dijkstra. Both power the
+// matrices, the row-free backend answers every query with a bounded
+// Dijkstra and holds no rows. Both power the
 // ball queries B_u(r) and the size-radius function r_u(j) ("radius of the
 // smallest ball around u holding 2^j nodes") used by every scheme in the
 // paper, with bit-identical results.
@@ -64,9 +64,9 @@ class MetricSpace {
   int num_levels() const { return num_levels_; }
 
   /// Borrowed view of u's full metric row (distances, next hops toward u,
-  /// distance-sorted order). On the lazy backend this materializes (or
-  /// pins) one cached row; prefer it over repeated dist(u, ·) calls in
-  /// loops over a fixed u.
+  /// distance-sorted order). On the row-free backend this materializes one
+  /// transient row; prefer it over repeated dist(u, ·) calls in loops over a
+  /// fixed u.
   MetricRowView row(NodeId u) const { return backend_->row(u); }
 
   /// Nodes ordered by (distance from u, id); position 0 is u itself. The
@@ -78,8 +78,8 @@ class MetricSpace {
   Weight radius_of_count(NodeId u, std::size_t m) const;
 
   /// Nodes within distance r of u, ordered by (distance, id). This is the
-  /// ball B_u(r) of the paper. On the lazy backend a cache miss settles
-  /// only the ball's members (bounded Dijkstra), never a full row.
+  /// ball B_u(r) of the paper. On the row-free backend this settles only
+  /// the ball's members (bounded Dijkstra), never a full row.
   std::vector<NodeId> ball(NodeId u, Weight r) const {
     return backend_->ball(u, r);
   }
@@ -104,9 +104,8 @@ class MetricSpace {
   NodeId nearest_in(NodeId u, std::span<const NodeId> candidates) const;
 
   /// Bytes held by the backend's metric state: the three n×n matrices for
-  /// the dense backend (counters mem.metric.{dist,parent,order}_bytes), the
-  /// current row-cache contents for the lazy one (counter
-  /// metric.cache.bytes tracks the high-water mark).
+  /// the dense backend (counters mem.metric.{dist,parent,order}_bytes), zero
+  /// for the row-free one.
   std::size_t memory_bytes() const { return backend_->memory_bytes(); }
 
  private:
@@ -125,7 +124,7 @@ class MetricSpace {
   Weight scale_ = 1;
   Weight delta_ = 0;
   int num_levels_ = 0;
-  // Fast-path aliases into the dense backend's matrices (null when lazy):
+  // Fast-path aliases into the dense backend's matrices (null when row-free):
   // keeps dist()/next_hop() branch-plus-load on the default backend.
   const Weight* dense_dist_ = nullptr;
   const NodeId* dense_parent_ = nullptr;

@@ -14,8 +14,7 @@ namespace {
 
 // Rows per chunk for the parallel loops below: small enough to balance load
 // across workers, large enough that chunk bookkeeping is negligible. Chunk
-// geometry is part of the determinism contract (core/parallel.hpp), so both
-// backends use the same constant.
+// geometry is part of the determinism contract (core/parallel.hpp).
 constexpr std::size_t kRowChunk = 8;
 
 // One warm Dijkstra workspace per thread: rows are computed from executor
@@ -28,8 +27,8 @@ DijkstraWorkspace& tls_workspace() {
 
 // Canonical node order of one row: ascending (normalized distance, id). The
 // comparator is a total order (ids are unique), so the result is independent
-// of the input permutation — dense matrix rows and lazy cache rows sort to
-// the same sequence.
+// of the input permutation — dense matrix rows and row-free transient rows
+// sort to the same sequence.
 void sort_order_row(const Weight* dist, std::size_t n, NodeId* order) {
   for (NodeId v = 0; v < n; ++v) order[v] = v;
   std::sort(order, order + n, [&](NodeId a, NodeId b) {
@@ -38,9 +37,8 @@ void sort_order_row(const Weight* dist, std::size_t n, NodeId* order) {
   });
 }
 
-// One full-row materialization: the single definition both on-demand
-// backends (lazy cache fill, row-free transient rows) share, so a row is a
-// pure function of (graph, scale) no matter which backend produced it.
+// One full-row materialization (the row-free backend's transient rows): a
+// pure function of (graph, scale), bit-identical to the dense matrix row.
 MetricRowPtr materialize_row(const CsrGraph& csr, Weight scale, NodeId root) {
   DijkstraWorkspace& ws = tls_workspace();
   const NodeId sources[] = {root};
@@ -221,81 +219,11 @@ Weight exact_raw_diameter(const CsrGraph& csr) {
   return lb;
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// RowCache
+// Ball queries over a materialized row (the dense backend)
 // ---------------------------------------------------------------------------
 
-RowCache::RowCache(std::size_t budget_bytes)
-    : shard_budget_(budget_bytes / kShards) {}
-
-MetricRowPtr RowCache::get(NodeId key) {
-  Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) return nullptr;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->second;
-}
-
-void RowCache::put(NodeId key, MetricRowPtr row) {
-  Shard& shard = shard_of(key);
-  std::size_t grown = 0;
-  std::size_t shrunk = 0;
-  std::uint64_t evictions = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      // Rows are pure functions of the graph: an existing entry is
-      // bit-identical, so just refresh its recency.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else {
-      const std::size_t bytes = row->bytes();
-      shard.lru.emplace_front(key, std::move(row));
-      shard.index.emplace(key, shard.lru.begin());
-      shard.bytes += bytes;
-      grown = bytes;
-      // Evict cold rows past the shard budget, but always keep the newest:
-      // the cache must be able to serve the row it was just handed.
-      while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
-        const auto& victim = shard.lru.back();
-        const std::size_t victim_bytes = victim.second->bytes();
-        shard.index.erase(victim.first);
-        shard.lru.pop_back();
-        shard.bytes -= victim_bytes;
-        shrunk += victim_bytes;
-        ++evictions;
-      }
-    }
-  }
-  if (evictions > 0) CR_OBS_ADD("metric.cache.evictions", evictions);
-  if (grown > shrunk) {
-    note_growth(grown - shrunk);
-  } else if (shrunk > grown) {
-    total_bytes_.fetch_sub(shrunk - grown, std::memory_order_relaxed);
-  }
-}
-
-void RowCache::note_growth(std::size_t delta) {
-  const std::size_t cur =
-      total_bytes_.fetch_add(delta, std::memory_order_relaxed) + delta;
-  std::size_t prev = peak_bytes_.load(std::memory_order_relaxed);
-  while (cur > prev) {
-    if (peak_bytes_.compare_exchange_weak(prev, cur, std::memory_order_relaxed)) {
-      // Publish the high-water mark: the counter's value tracks peak bytes.
-      CR_OBS_ADD("metric.cache.bytes", cur - prev);
-      break;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Shared row helpers
-// ---------------------------------------------------------------------------
-
-std::size_t MetricBackend::ball_size_in_row(const MetricRowView& row, Weight r) {
+std::size_t ball_size_in_row(const MetricRowView& row, Weight r) {
   // Binary search over the sorted order: count of nodes with d(u, .) <= r.
   const std::span<const NodeId> order = row.order();
   std::size_t lo = 0, hi = order.size();
@@ -310,7 +238,7 @@ std::size_t MetricBackend::ball_size_in_row(const MetricRowView& row, Weight r) 
   return lo;
 }
 
-std::vector<NodeId> MetricBackend::ball_in_row(const MetricRowView& row, Weight r) {
+std::vector<NodeId> ball_in_row(const MetricRowView& row, Weight r) {
   const std::size_t count = ball_size_in_row(row, r);
   const std::span<const NodeId> order = row.order();
   return std::vector<NodeId>(order.begin(), order.begin() + count);
@@ -319,8 +247,6 @@ std::vector<NodeId> MetricBackend::ball_in_row(const MetricRowView& row, Weight 
 // ---------------------------------------------------------------------------
 // Dense backend: three n×n matrices, O(1) queries.
 // ---------------------------------------------------------------------------
-
-namespace {
 
 class DenseMetricBackend final : public MetricBackend {
  public:
@@ -418,123 +344,6 @@ class DenseMetricBackend final : public MetricBackend {
 };
 
 // ---------------------------------------------------------------------------
-// Lazy backend: demand-computed rows in a byte-budgeted LRU, bounded-Dijkstra
-// ball queries. O(cache + n·workers) memory.
-// ---------------------------------------------------------------------------
-
-class LazyMetricBackend final : public MetricBackend {
- public:
-  LazyMetricBackend(const CsrGraph& csr, std::size_t cache_bytes)
-      : csr_(&csr), n_(csr.num_nodes()), cache_(cache_bytes) {
-    // Shared with the other backends (a handful of iFUB sweeps, not the
-    // one-Dijkstra-per-root delta pass this constructor used to run) — so
-    // construction is O(sweeps) and the cache starts cold; rows fault in on
-    // first touch.
-    scale_ = normalization_scale(csr);
-    delta_ = exact_raw_diameter(csr) / scale_;
-  }
-
-  const char* name() const override { return "lazy"; }
-
-  MetricRowView row(NodeId u) const override {
-    MetricRowPtr row = fetch_row(u);
-    const MetricRow& r = *row;
-    return MetricRowView(r.dist, r.parent, r.order, std::move(row));
-  }
-
-  Weight dist(NodeId u, NodeId v) const override { return fetch_row(u)->dist[v]; }
-
-  NodeId next_hop(NodeId u, NodeId target) const override {
-    return fetch_row(target)->parent[u];
-  }
-
-  std::vector<NodeId> ball(NodeId u, Weight r) const override {
-    if (const MetricRowPtr cached = hit(u)) {
-      const MetricRow& row = *cached;
-      return ball_in_row(MetricRowView(row.dist, row.parent, row.order, cached), r);
-    }
-    // Bounded run: settle only the ball. Members come out in ascending
-    // (raw distance, id); re-sort under the canonical (normalized distance,
-    // id) comparator in case normalization collapses raw ties.
-    CR_OBS_COUNT("metric.ball.bounded");
-    DijkstraWorkspace& ws = tls_workspace();
-    const NodeId sources[] = {u};
-    dijkstra_into(*csr_, sources, ws, {.radius = r, .scale = scale_});
-    std::vector<std::pair<Weight, NodeId>> members;
-    members.reserve(ws.settled().size());
-    for (const NodeId v : ws.settled()) {
-      members.emplace_back(ws.dist()[v] / scale_, v);
-    }
-    std::sort(members.begin(), members.end());
-    std::vector<NodeId> result;
-    result.reserve(members.size());
-    for (const auto& [d, v] : members) result.push_back(v);
-    return result;
-  }
-
-  std::size_t ball_size(NodeId u, Weight r) const override {
-    if (const MetricRowPtr cached = hit(u)) {
-      const MetricRow& row = *cached;
-      return ball_size_in_row(MetricRowView(row.dist, row.parent, row.order, cached),
-                              r);
-    }
-    CR_OBS_COUNT("metric.ball.bounded");
-    DijkstraWorkspace& ws = tls_workspace();
-    const NodeId sources[] = {u};
-    dijkstra_into(*csr_, sources, ws, {.radius = r, .scale = scale_});
-    return ws.settled().size();
-  }
-
-  Weight radius_of_count(NodeId u, std::size_t m) const override {
-    if (m > n_) m = n_;
-    if (const MetricRowPtr cached = hit(u)) {
-      return cached->dist[cached->order[m - 1]];
-    }
-    // Settle exactly the m nearest nodes. The m-th normalized value is the
-    // same whether ranked by raw or by normalized distance (the division is
-    // monotone, so both rankings sort the same value sequence).
-    CR_OBS_COUNT("metric.ball.bounded");
-    DijkstraWorkspace& ws = tls_workspace();
-    const NodeId sources[] = {u};
-    dijkstra_into(*csr_, sources, ws, {.max_settled = m});
-    CR_CHECK(ws.settled().size() == m);
-    return ws.dist()[ws.settled().back()] / scale_;
-  }
-
-  std::size_t memory_bytes() const override { return cache_.bytes(); }
-
- private:
-  /// Cache lookup that meters a hit but, unlike fetch_row, never computes.
-  MetricRowPtr hit(NodeId u) const {
-    MetricRowPtr row = cache_.get(u);
-    if (row) CR_OBS_COUNT("metric.cache.hits");
-    return row;
-  }
-
-  MetricRowPtr fetch_row(NodeId u) const {
-    if (MetricRowPtr row = cache_.get(u)) {
-      CR_OBS_COUNT("metric.cache.hits");
-      return row;
-    }
-    // Concurrent misses on the same root may compute the row twice; both
-    // copies are bit-identical (pure function of the graph), so the race
-    // costs time, never determinism.
-    CR_OBS_COUNT("metric.cache.misses");
-    MetricRowPtr row = compute_row(u);
-    cache_.put(u, row);
-    return row;
-  }
-
-  MetricRowPtr compute_row(NodeId root) const {
-    return materialize_row(*csr_, scale_, root);
-  }
-
-  const CsrGraph* csr_;
-  std::size_t n_;
-  mutable RowCache cache_;
-};
-
-// ---------------------------------------------------------------------------
 // Row-free backend: no matrices, no row cache. Queries are bounded Dijkstra;
 // the diameter comes from an exact iFUB sweep; a full row is only ever
 // materialized transiently through the legacy row() escape hatch (counted in
@@ -627,11 +436,6 @@ class RowFreeMetricBackend final : public MetricBackend {
 
 std::unique_ptr<MetricBackend> make_dense_backend(const CsrGraph& csr) {
   return std::make_unique<DenseMetricBackend>(csr);
-}
-
-std::unique_ptr<MetricBackend> make_lazy_backend(const CsrGraph& csr,
-                                                 std::size_t cache_bytes) {
-  return std::make_unique<LazyMetricBackend>(csr, cache_bytes);
 }
 
 std::unique_ptr<MetricBackend> make_rowfree_backend(const CsrGraph& csr) {

@@ -3,16 +3,11 @@
 // Metric storage backends (DESIGN.md §6).
 //
 // Every scheme in the paper is built on d(u, v), B_u(r), and r_u(j) queries.
-// A MetricBackend answers them from one of three representations:
+// A MetricBackend answers them from one of two representations:
 //
 //  * DenseMetricBackend — the classic three n×n matrices (dist, parent,
 //    order). O(n²) memory, O(1) queries; the default and the right choice
 //    while the matrices fit in RAM.
-//  * LazyMetricBackend — no matrices. Distance/parent/order rows are
-//    computed on demand by single-source Dijkstra over the CSR view and held
-//    in a byte-budgeted, sharded LRU row cache. Ball queries that miss the
-//    cache run *bounded* Dijkstra and settle only the nodes inside the ball.
-//    O(cache + n·workers) memory, so n can scale far past the dense ceiling.
 //  * RowFreeMetricBackend — no rows at all (DESIGN.md §10). Every query is
 //    a bounded Dijkstra: balls stop at the radius, point queries stop the
 //    moment the target settles, and the diameter comes from an exact iFUB
@@ -22,19 +17,14 @@
 //    row in metric.rows.materialized.
 //
 // Determinism: a row is a pure function of the graph (canonical Dijkstra
-// tie-breaking), so a recomputed row is bit-identical to the evicted one —
-// cache size, eviction order, and thread interleaving can never change a
-// query result. The equivalence suite (tests/test_metric_backend.cpp)
-// enforces dense == lazy down to scheme fingerprints.
+// tie-breaking), so a transient row is bit-identical to the dense matrix
+// row and thread interleaving can never change a query result. The
+// equivalence suite (tests/test_metric_backend.cpp) enforces
+// dense == row-free down to scheme fingerprints.
 //
-#include <array>
-#include <atomic>
 #include <cstddef>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hpp"
@@ -42,14 +32,10 @@
 
 namespace compactroute {
 
-enum class MetricBackendKind { kDense, kLazy, kRowFree };
+enum class MetricBackendKind { kDense, kRowFree };
 
 struct MetricOptions {
   MetricBackendKind backend = MetricBackendKind::kDense;
-  /// Row-cache byte budget (lazy backend only). The cache always retains at
-  /// least one row per shard, so a tiny budget degrades to recompute-often,
-  /// never to failure.
-  std::size_t cache_bytes = std::size_t{64} << 20;
 };
 
 /// One root's fully materialized view of the metric: normalized distances,
@@ -69,9 +55,8 @@ struct MetricRow {
 
 using MetricRowPtr = std::shared_ptr<const MetricRow>;
 
-/// Borrowed view of one root's row. For the lazy backend the view pins the
-/// underlying cache entry, so it stays valid (and bit-stable) even if the
-/// entry is evicted while the view is alive; hold it only as long as needed.
+/// Borrowed view of one root's row. For the row-free backend the view owns
+/// the transient row it was computed into; hold it only as long as needed.
 class MetricRowView {
  public:
   MetricRowView(std::span<const Weight> dist, std::span<const NodeId> parent,
@@ -87,7 +72,7 @@ class MetricRowView {
   std::span<const NodeId> order() const { return order_; }
   std::span<const Weight> dists() const { return dist_; }
   std::size_t size() const { return dist_.size(); }
-  /// The cache pin backing this view (null for the dense backend).
+  /// The transient row backing this view (null for the dense backend).
   const MetricRowPtr& pin() const { return pin_; }
 
  private:
@@ -115,42 +100,6 @@ class OrderView {
   MetricRowPtr pin_;
 };
 
-/// Thread-safe sharded LRU over MetricRows, keyed by root id. Shards are
-/// picked by key, each with its own mutex and an equal slice of the byte
-/// budget; eviction never removes a shard's most recent row, so get-after-put
-/// always hits. Evicted rows stay alive while any MetricRowView pins them.
-class RowCache {
- public:
-  explicit RowCache(std::size_t budget_bytes);
-
-  /// Returns the cached row (bumping its recency) or nullptr.
-  MetricRowPtr get(NodeId key);
-  /// Inserts (or refreshes) a row and evicts LRU entries over budget.
-  void put(NodeId key, MetricRowPtr row);
-
-  std::size_t bytes() const { return total_bytes_.load(std::memory_order_relaxed); }
-  std::size_t peak_bytes() const { return peak_bytes_.load(std::memory_order_relaxed); }
-
- private:
-  static constexpr std::size_t kShards = 16;
-  using LruList = std::list<std::pair<NodeId, MetricRowPtr>>;
-
-  struct Shard {
-    std::mutex mutex;
-    LruList lru;  // front = most recently used
-    std::unordered_map<NodeId, LruList::iterator> index;
-    std::size_t bytes = 0;
-  };
-
-  Shard& shard_of(NodeId key) { return shards_[key % kShards]; }
-  void note_growth(std::size_t delta);
-
-  std::size_t shard_budget_;
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::size_t> total_bytes_{0};
-  std::atomic<std::size_t> peak_bytes_{0};
-};
-
 /// Query interface shared by all backends. Construction computes the
 /// normalization scale (the minimum edge weight == the minimum pairwise
 /// distance) and the normalized diameter delta (exact iFUB sweep) through
@@ -171,8 +120,8 @@ class MetricBackend {
   virtual std::vector<NodeId> ball(NodeId u, Weight r) const = 0;
   virtual std::size_t ball_size(NodeId u, Weight r) const = 0;
   virtual Weight radius_of_count(NodeId u, std::size_t m) const = 0;
-  /// Bytes held by the backend's metric state (matrices, or CSR-independent
-  /// cache contents for the lazy backend).
+  /// Bytes held by the backend's metric state (the dense matrices; zero for
+  /// the row-free backend).
   virtual std::size_t memory_bytes() const = 0;
 
   /// Fast-path escape hatch: dense row-major matrices, or nullptr.
@@ -183,18 +132,11 @@ class MetricBackend {
   Weight delta() const { return delta_; }
 
  protected:
-  /// Shared ball/size/radius logic over a materialized row — used by the
-  /// dense backend always and by the lazy backend on cache hits.
-  static std::size_t ball_size_in_row(const MetricRowView& row, Weight r);
-  static std::vector<NodeId> ball_in_row(const MetricRowView& row, Weight r);
-
   Weight scale_ = 1;
   Weight delta_ = 0;
 };
 
 std::unique_ptr<MetricBackend> make_dense_backend(const CsrGraph& csr);
-std::unique_ptr<MetricBackend> make_lazy_backend(const CsrGraph& csr,
-                                                 std::size_t cache_bytes);
 /// Row-free backend: no matrices, no row cache — every query is a bounded
 /// Dijkstra, the normalized diameter comes from an exact iFUB sweep instead
 /// of an all-rows pass, and a row() call (legacy/eval paths only) computes a

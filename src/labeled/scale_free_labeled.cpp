@@ -369,6 +369,17 @@ RouteResult ScaleFreeLabeledScheme::route_with_trace(NodeId src,
     }
     return false;
   };
+  // A virtual search-tree edge is ridden along its canonical shortest path
+  // (the Lemma 4.3 next-hop chain), so every relay on it checks delivery.
+  const auto append_trail = [&](const std::vector<NodeId>& trail) {
+    for (std::size_t s = 1; s < trail.size(); ++s) {
+      const Path leg = metric_->shortest_path(trail[s - 1], trail[s]);
+      for (std::size_t k = 1; k < leg.size(); ++k) {
+        if (append_and_check(leg[k])) return true;
+      }
+    }
+    return false;
+  };
 
   int j = density_exponent(pos, level_radius(handoff_level));
   tr.packing_exponent = j;
@@ -389,10 +400,7 @@ RouteResult ScaleFreeLabeledScheme::route_with_trace(NodeId src,
 
     const Weight before_search = path_cost(*metric_, result.path);
     region.search->lookup(target_label, scratch, &lookup);
-    bool hit_in_search = false;
-    for (std::size_t s = 1; s < lookup.trail.size() && !hit_in_search; ++s) {
-      hit_in_search = append_and_check(lookup.trail[s]);
-    }
+    const bool hit_in_search = append_trail(lookup.trail);
     if (j == tr.packing_exponent) {
       tr.search_cost = path_cost(*metric_, result.path) - before_search;
     }
@@ -420,9 +428,7 @@ RouteResult ScaleFreeLabeledScheme::route_with_trace(NodeId src,
     }
     pos = region.center;
     region.search->lookup(target_label, scratch, &lookup);
-    for (std::size_t s = 1; s < lookup.trail.size(); ++s) {
-      if (append_and_check(lookup.trail[s])) return delivered();
-    }
+    if (append_trail(lookup.trail)) return delivered();
     ++tr.escalations;
     if (lookup.found) {
       append_locals(region,

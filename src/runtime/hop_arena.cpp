@@ -306,7 +306,7 @@ std::shared_ptr<const HopArena> HopArena::build(
     s.walk_threshold.resize(levels);
     for (int level = 0; level < levels; ++level) {
       s.radius[level] = level_radius(level);
-      // The reference expression, verbatim, for bit-identical comparisons.
+      // route()'s expression, verbatim, for bit-identical comparisons.
       s.walk_threshold[level] =
           level_radius(level) / (2 * sf_scheme->epsilon()) - level_radius(level);
     }

@@ -19,9 +19,9 @@
 //     Lemma 4.3 chain entries, size radii, region membership) flattened into
 //     O(1)-indexable slabs.
 //
-// The arena is a pure re-layout: the hop runtimes stepping against it take
-// byte-identical routes to the reference (nested-vector) runtimes — enforced
-// by the golden fingerprint suite in tests/test_hop_arena.cpp.
+// The arena is a pure re-layout of the schemes' tables: frozen serve_batch
+// fingerprints (tests/test_hop_arena.cpp) pin its routes, and a differential
+// test there checks every walk against the scheme's own route().
 //
 // Layout invariants (DESIGN.md §11): every slab is 64-byte aligned; ring
 // entries are level-ascending within a node (first containment hit ==
@@ -146,7 +146,7 @@ class HopArena {
     Slab<std::int16_t> level;   // hierarchy level per entry
 
     // Per hierarchy level l: 2^l and the Algorithm 5 line 3 walk threshold
-    // 2^l/(2ε) - 2^l, precomputed with the reference expression so the
+    // 2^l/(2ε) - 2^l, precomputed with route()'s expression so the
     // comparison is bit-identical.
     Slab<Weight> radius;          // [top+1]
     Slab<Weight> walk_threshold;  // [top+1]

@@ -5,10 +5,10 @@
 // destination label; every step is "find the minimal ring hit, forward one
 // edge toward it" — stateless greedy descent.
 //
-// By default the scheme compiles its rings into a private HopArena and steps
-// against the flat slab (one branchless containment scan, next node's rows
-// prefetched). HopTables::kReference keeps the original nested-vector walk —
-// the golden suite proves both take byte-identical routes.
+// The scheme steps against the flat HopArena ring slab (one branchless
+// containment scan, next node's rows prefetched): a private arena compiled
+// from the scheme, or one shared with the other runtimes of a loaded
+// snapshot.
 //
 #include <memory>
 
@@ -19,9 +19,10 @@ namespace compactroute {
 
 class HierarchicalHopScheme final : public HopScheme {
  public:
-  explicit HierarchicalHopScheme(const HierarchicalLabeledScheme& scheme,
-                                 HopTables tables = HopTables::kArena);
-  /// Steps against a shared prebuilt arena (must carry the hier slab).
+  /// Compiles a private arena from the scheme's rings.
+  explicit HierarchicalHopScheme(const HierarchicalLabeledScheme& scheme);
+  /// Steps against a shared prebuilt arena, which must carry the hier slab
+  /// compiled from `scheme`.
   HierarchicalHopScheme(const HierarchicalLabeledScheme& scheme,
                         std::shared_ptr<const HopArena> arena);
 
@@ -33,7 +34,6 @@ class HierarchicalHopScheme final : public HopScheme {
     return header;
   }
 
-  Decision step(NodeId at, const HopHeader& header) const override;
   bool step_inplace(NodeId at, HopHeader& header, NodeId* next) const override;
 
   /// Every hop is greedy ring descent toward the destination label.
@@ -42,10 +42,6 @@ class HierarchicalHopScheme final : public HopScheme {
   }
 
  private:
-  Decision reference_step(NodeId at, const HopHeader& header) const;
-  bool arena_step(NodeId at, HopHeader& header, NodeId* next) const;
-
-  const HierarchicalLabeledScheme* scheme_;
   std::shared_ptr<const HopArena> arena_;
 };
 

@@ -16,8 +16,7 @@
 //
 // Every decision uses only node-local tables: ring hits, region-tree parent
 // pointers, search-tree child ranges/chunks, and compact-tree-router state —
-// by default read from the flat HopArena slabs (HopTables::kReference keeps
-// the original container walks; routes are byte-identical either way).
+// read from the flat HopArena slabs.
 //
 #include <cstdint>
 #include <limits>
@@ -34,16 +33,16 @@ class ScaleFreeHopScheme final : public HopScheme {
   static constexpr std::int16_t kNoPrevLevel =
       std::numeric_limits<std::int16_t>::max();
 
-  explicit ScaleFreeHopScheme(const ScaleFreeLabeledScheme& scheme,
-                              HopTables tables = HopTables::kArena);
-  /// Shared prebuilt arena (must carry the scale-free slab).
+  /// Compiles a private arena from the scheme's tables.
+  explicit ScaleFreeHopScheme(const ScaleFreeLabeledScheme& scheme);
+  /// Shared prebuilt arena, which must carry the scale-free slab compiled
+  /// from `scheme`.
   ScaleFreeHopScheme(const ScaleFreeLabeledScheme& scheme,
                      std::shared_ptr<const HopArena> arena);
 
   std::string name() const override { return "hop/labeled-scale-free"; }
 
   HopHeader make_header(NodeId src, std::uint64_t dest_key) const override;
-  Decision step(NodeId at, const HopHeader& header) const override;
   bool step_inplace(NodeId at, HopHeader& header, NodeId* next) const override;
   TracePhase phase_of(const HopHeader& header) const override;
 
@@ -59,10 +58,6 @@ class ScaleFreeHopScheme final : public HopScheme {
     kToDest = 5,
   };
 
-  Decision reference_step(NodeId at, const HopHeader& header) const;
-  bool arena_step(NodeId at, HopHeader& header, NodeId* next) const;
-
-  const ScaleFreeLabeledScheme* scheme_;
   std::shared_ptr<const HopArena> arena_;
 };
 

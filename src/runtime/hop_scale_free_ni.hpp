@@ -18,17 +18,12 @@
 //   target      — search-tree cursor
 //   tree_dfs    — the retrieved routing label l(v) (once found)
 //   inner_phase — continuation after the current ride arrives
-//   nested      — the inner ScaleFreeHopScheme header (ride in progress)
-//   phase       — arena mode only: 1 while a ride is active (the reference
-//                 machine signals the same thing by resetting `nested`; the
-//                 arena keeps the nested header allocated and reuses it, so
-//                 rides cost zero allocations)
+//   nested      — the inner ScaleFreeHopScheme header (kept allocated and
+//                 reused across rides, so rides cost zero allocations)
+//   phase       — 1 while a ride is active
 //
-// By default both machines step against a shared HopArena;
-// HopTables::kReference keeps the original container walks. Routes are
-// byte-identical either way (golden suite). Header metering is unaffected:
-// every *emitted* hop happens mid-ride, where both modes carry the nested
-// header.
+// Both machines step against one HopArena. Every emitted hop happens
+// mid-ride, so every metered header carries the nested one.
 //
 #include <memory>
 
@@ -41,11 +36,12 @@ namespace compactroute {
 
 class ScaleFreeNameIndependentHopScheme final : public HopScheme {
  public:
+  /// Compiles a private arena from both schemes' tables.
   ScaleFreeNameIndependentHopScheme(const ScaleFreeNameIndependentScheme& scheme,
-                                    const ScaleFreeLabeledScheme& underlying,
-                                    HopTables tables = HopTables::kArena);
-  /// Shared prebuilt arena (must carry the sf + sfni slabs). The inner
-  /// labeled machine steps against the same arena.
+                                    const ScaleFreeLabeledScheme& underlying);
+  /// Shared prebuilt arena, which must carry the sf + sfni slabs compiled
+  /// from these schemes. The inner labeled machine steps against the same
+  /// arena.
   ScaleFreeNameIndependentHopScheme(const ScaleFreeNameIndependentScheme& scheme,
                                     const ScaleFreeLabeledScheme& underlying,
                                     std::shared_ptr<const HopArena> arena);
@@ -55,7 +51,6 @@ class ScaleFreeNameIndependentHopScheme final : public HopScheme {
   }
 
   HopHeader make_header(NodeId src, std::uint64_t dest_key) const override;
-  Decision step(NodeId at, const HopHeader& header) const override;
   bool step_inplace(NodeId at, HopHeader& header, NodeId* next) const override;
   TracePhase phase_of(const HopHeader& header) const override;
 
@@ -69,20 +64,11 @@ class ScaleFreeNameIndependentHopScheme final : public HopScheme {
     kDeliver = 5,     // final leg arrived
   };
 
-  /// Begins a ride of the inner scheme toward `label` (reference mode:
-  /// fresh nested header).
-  void start_ride(HopHeader& header, NodeId at, NodeId label,
+  /// Begins a ride of the inner scheme toward `label`: the nested header is
+  /// reset in place to what inner_.make_header produces, no allocation.
+  void begin_ride(HopHeader& header, NodeId label,
                   Continuation continuation) const;
-  /// Arena mode: same transition, but the nested header is reset in place —
-  /// field-for-field what inner_.make_header produces, no allocation.
-  void arena_start_ride(HopHeader& header, NodeId label,
-                        Continuation continuation) const;
 
-  Decision reference_step(NodeId at, const HopHeader& header) const;
-  bool arena_step(NodeId at, HopHeader& header, NodeId* next) const;
-
-  const ScaleFreeNameIndependentScheme* scheme_;
-  const ScaleFreeLabeledScheme* underlying_;
   std::shared_ptr<const HopArena> arena_;  // before inner_: it rides on this
   ScaleFreeHopScheme inner_;
 };

@@ -26,12 +26,6 @@ namespace compactroute {
 
 class HopArena;
 
-/// Which per-node tables a hop scheme steps against: the serve-time arena
-/// (contiguous flat slabs, the default) or the schemes' own build-time
-/// nested containers (the reference FSMs the golden suite compares against).
-/// Both take byte-identical routes.
-enum class HopTables { kArena, kReference };
-
 /// Generic bounded packet header. Schemes assign meaning to the fields; all
 /// of them are polylog-sized (ids, levels, phases). encoded_bits() is the
 /// exact wire size for the given universe.
@@ -72,21 +66,11 @@ class HopScheme {
   /// Header the source attaches for destination key `dest_key`.
   virtual HopHeader make_header(NodeId src, std::uint64_t dest_key) const = 0;
 
-  struct Decision {
-    bool deliver = false;
-    NodeId next = kInvalidNode;
-    HopHeader header;
-  };
-
   /// One forwarding decision, a pure function of (at, header) and the tables
-  /// of node `at`.
-  virtual Decision step(NodeId at, const HopHeader& header) const = 0;
-
-  /// Same decision, mutating `header` in place: returns true to deliver,
-  /// else writes the next hop to *next. The serve loop uses this form —
-  /// arena-backed schemes override it allocation-free; the default wraps
-  /// step().
-  virtual bool step_inplace(NodeId at, HopHeader& header, NodeId* next) const;
+  /// of node `at`, mutating `header` in place: returns true to deliver, else
+  /// writes the next hop to *next.
+  virtual bool step_inplace(NodeId at, HopHeader& header,
+                            NodeId* next) const = 0;
 
   /// Telemetry classification of a hop taken while `header` is in flight —
   /// which phase of the scheme's state machine the hop serves. A pure

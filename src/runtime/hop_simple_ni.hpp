@@ -17,9 +17,8 @@
 //   inner_phase — continuation after the ride arrives
 //   tree_dfs    — the retrieved routing label l(v) (once found)
 //
-// By default both machines step against a HopArena (flat ring slab + packed
-// search-tree bank); HopTables::kReference keeps the original container
-// walks. Byte-identical routes either way (golden suite).
+// Both machines step against a HopArena (flat ring slab + packed search-tree
+// bank).
 //
 #include <memory>
 
@@ -32,10 +31,11 @@ namespace compactroute {
 class SimpleNameIndependentHopScheme final : public HopScheme {
  public:
   /// `underlying` must be the same scheme the NI scheme was built over.
+  /// Compiles a private arena from both schemes' tables.
   SimpleNameIndependentHopScheme(const SimpleNameIndependentScheme& scheme,
-                                 const HierarchicalLabeledScheme& underlying,
-                                 HopTables tables = HopTables::kArena);
-  /// Shared prebuilt arena (must carry the hier + simple slabs).
+                                 const HierarchicalLabeledScheme& underlying);
+  /// Shared prebuilt arena, which must carry the hier + simple slabs
+  /// compiled from these schemes.
   SimpleNameIndependentHopScheme(const SimpleNameIndependentScheme& scheme,
                                  const HierarchicalLabeledScheme& underlying,
                                  std::shared_ptr<const HopArena> arena);
@@ -43,7 +43,6 @@ class SimpleNameIndependentHopScheme final : public HopScheme {
   std::string name() const override { return "hop/name-independent-simple"; }
 
   HopHeader make_header(NodeId src, std::uint64_t dest_key) const override;
-  Decision step(NodeId at, const HopHeader& header) const override;
   bool step_inplace(NodeId at, HopHeader& header, NodeId* next) const override;
   TracePhase phase_of(const HopHeader& header) const override;
 
@@ -57,11 +56,6 @@ class SimpleNameIndependentHopScheme final : public HopScheme {
     kDeliver = 3,     // final leg: arrived at the destination
   };
 
-  Decision reference_step(NodeId at, const HopHeader& header) const;
-  bool arena_step(NodeId at, HopHeader& header, NodeId* next) const;
-
-  const SimpleNameIndependentScheme* scheme_;
-  const HierarchicalLabeledScheme* underlying_;
   std::shared_ptr<const HopArena> arena_;
 };
 

@@ -60,8 +60,8 @@ std::uint64_t serve_one(const CsrGraph& csr, const HopScheme& scheme,
   bool done = false;
   NodeId next = kInvalidNode;
   while (hop_count <= max_hops) {
-    // In-place stepping: arena-backed schemes mutate the header with zero
-    // allocations; reference schemes fall back to a step() copy internally.
+    // In-place stepping: the arena-backed schemes mutate the header with
+    // zero allocations.
     if (scheme.step_inplace(at, header, &next)) {
       done = true;
       break;

@@ -13,6 +13,8 @@
 //     never crash.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -40,9 +42,21 @@ constexpr double kEps = 0.5;
 constexpr std::size_t kFingerprintRequests = 256;
 constexpr std::uint64_t kSeed = 99;
 
+/// A path under the test temp directory, named after the running test.
+/// ctest runs each test as its own process, concurrently: a shared
+/// cwd-relative name let one test rewrite a file another had mapped, and the
+/// reader died of SIGBUS.
+std::string scratch_path() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "test_snapshot_mmap_" +
+         info->test_suite_name() + "_" + info->name() + "_" +
+         std::to_string(getpid()) + ".snap";
+}
+
 /// A scratch file that cleans up after itself even when a test fails.
 struct ScratchFile {
-  explicit ScratchFile(std::string p) : path(std::move(p)) {}
+  ScratchFile() : path(scratch_path()) {}
   ~ScratchFile() { std::remove(path.c_str()); }
   std::string path;
 };
@@ -90,7 +104,7 @@ void expect_equal_fingerprints(const audit::ServeFingerprints& a,
 void run_golden_equivalence(std::size_t workers) {
   Executor::global().set_workers(workers);
   const Fixture& f = fixture();
-  ScratchFile snap("test_snapshot_mmap_golden.snap");
+  ScratchFile snap;
   write_snapshot_file(snap.path, f.bytes);
 
   const SnapshotStack from_vector = decode_snapshot(f.bytes);
@@ -116,7 +130,7 @@ TEST(SnapshotMmap, GoldenEquivalenceFourWorkers) { run_golden_equivalence(4); }
 
 TEST(SnapshotMmap, MappedSpanMatchesFileBytes) {
   const Fixture& f = fixture();
-  ScratchFile snap("test_snapshot_mmap_span.snap");
+  ScratchFile snap;
   write_snapshot_file(snap.path, f.bytes);
 
   MappedSnapshot mapped(snap.path);
@@ -139,8 +153,9 @@ TEST(SnapshotMmap, MappedSpanMatchesFileBytes) {
 TEST(SnapshotMmap, CorruptionBattery) {
   Executor::global().set_workers(1);
   const Fixture& f = fixture();
+  const ScratchFile snap;
   const audit::Report report = audit::audit_snapshot_corruption_mmap(
-      f.bytes, "test_snapshot_mmap_corrupt.snap", audit::Options{});
+      f.bytes, snap.path, audit::Options{});
   EXPECT_GT(report.checks, 40u);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
@@ -151,7 +166,7 @@ TEST(SnapshotMmap, CorruptionBattery) {
 TEST(SnapshotMmap, SubsetSnapshotZeroLengthSections) {
   Executor::global().set_workers(1);
   const Fixture& f = fixture();
-  ScratchFile snap("test_snapshot_mmap_subset.snap");
+  ScratchFile snap;
   {
     SnapshotStreamWriter writer(snap.path);
     writer.add_meta(f.metric, kEps);
@@ -196,7 +211,7 @@ TEST(SnapshotMmap, MissingFileThrowsSnapshotError) {
 }
 
 TEST(SnapshotMmap, EmptyFileThrowsSnapshotError) {
-  ScratchFile snap("test_snapshot_mmap_empty.snap");
+  ScratchFile snap;
   { std::ofstream out(snap.path, std::ios::binary); }
   EXPECT_THROW(MappedSnapshot{snap.path}, SnapshotError);
 }

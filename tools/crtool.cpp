@@ -44,15 +44,12 @@
 //
 // Global options (anywhere on the command line):
 //   --threads N            pin the executor's worker count (CR_THREADS=N)
-//   --metric dense|lazy|rowfree
-//                          metric backend: precomputed matrices (default),
-//                          demand-computed rows in an LRU cache, or pure
-//                          bounded ball queries with no row storage at all
-//   --metric-cache-mb N    lazy backend row-cache budget in MiB (default 64)
+//   --metric dense|rowfree metric backend: precomputed matrices (default)
+//                          or pure bounded ball queries with no row storage
 // Each option also accepts the --opt=value spelling.
 //
-// Exit codes: 0 success, 1 runtime error, 2 usage error (unknown command or
-// family, malformed or out-of-range argument).
+// Exit codes: 0 success, 1 runtime error, 2 usage error (unknown command,
+// family or flag, surplus argument, malformed or out-of-range argument).
 //
 #include <algorithm>
 #include <chrono>
@@ -128,13 +125,10 @@ namespace {
                "also accepted):\n"
                "  --threads N          worker count for parallel construction\n"
                "                       and evaluation (N >= 1; CR_THREADS=N)\n"
-               "  --metric dense|lazy|rowfree\n"
+               "  --metric dense|rowfree\n"
                "                       metric backend: all-pairs matrices\n"
-               "                       (default), demand-computed rows in a\n"
-               "                       byte-budgeted LRU cache, or bounded\n"
-               "                       ball queries with no row storage\n"
-               "  --metric-cache-mb N  lazy row-cache budget in MiB\n"
-               "                       (default 64)\n"
+               "                       (default) or bounded ball queries\n"
+               "                       with no row storage\n"
                "\n"
                "build options:\n"
                "  --out FILE           write the built stack as a snapshot\n"
@@ -157,7 +151,7 @@ namespace {
                "  --n LIST             target instance sizes (default 48,96)\n"
                "  --seeds LIST         instance seeds (default 1,2,3)\n"
                "  --eps LIST           epsilon values (default 0.5)\n"
-               "  --backends LIST      metric backends (default dense,lazy)\n"
+               "  --backends LIST      metric backends (default dense,rowfree)\n"
                "  --workers LIST       executor worker counts (default 1,4)\n"
                "  --budget-s S         wall-clock budget; the sweep stops\n"
                "                       between cases (default 0 = full grid)\n"
@@ -297,7 +291,7 @@ double parse_positive_double(const std::string& token, const char* what) {
   return v;
 }
 
-/// Metric backend chosen by the global --metric / --metric-cache-mb options;
+/// Metric backend chosen by the global --metric option;
 /// every command that builds a MetricSpace reads it.
 MetricOptions g_metric_options;
 
@@ -319,6 +313,26 @@ std::uint64_t arg_u64(const std::vector<std::string>& args, std::size_t k,
 double arg_positive_double(const std::vector<std::string>& args, std::size_t k,
                            double fallback, const char* what = "argument") {
   return k < args.size() ? parse_positive_double(args[k], what) : fallback;
+}
+
+/// Option loops step over positional arguments; an unknown --flag is a
+/// usage error rather than a silently ignored typo.
+void skip_positional(const std::vector<std::string>& args, std::size_t& i,
+                     const char* command) {
+  if (args[i].rfind("--", 0) == 0) {
+    std::fprintf(stderr, "unknown %s option '%s'\n\n", command,
+                 args[i].c_str());
+    usage();
+  }
+  ++i;
+}
+
+/// Rejects positional arguments past the `max` a command takes.
+void expect_at_most(const std::vector<std::string>& args, std::size_t max) {
+  if (args.size() > max) {
+    std::fprintf(stderr, "unexpected argument '%s'\n\n", args[max].c_str());
+    usage();
+  }
 }
 
 int cmd_gen(const std::vector<std::string>& args) {
@@ -399,6 +413,7 @@ int cmd_gen(const std::vector<std::string>& args) {
 
 int cmd_info(const std::vector<std::string>& args) {
   if (args.empty()) usage();
+  expect_at_most(args, 1);
   const Graph graph = load_graph(args[0]);
   const MetricSpace metric(graph, g_metric_options);
   Prng prng(1);
@@ -448,6 +463,7 @@ NodeId parse_node(const std::string& token, const MetricSpace& metric,
 
 int cmd_route(const std::vector<std::string>& args) {
   if (args.size() < 3) usage();
+  expect_at_most(args, 4);
   const double eps = arg_positive_double(args, 3, 0.5, "eps");
   Stack stack(load_graph(args[0]), eps);
   const NodeId src = parse_node(args[1], stack.metric, "src");
@@ -504,6 +520,7 @@ void print_trace(const RouteResult& r, Weight optimal) {
 
 int cmd_trace(const std::vector<std::string>& args) {
   if (args.size() < 3) usage();
+  expect_at_most(args, 5);
   const double eps = arg_positive_double(args, 3, 0.5, "eps");
   Stack stack(load_graph(args[0]), eps);
   const NodeId src = parse_node(args[1], stack.metric, "src");
@@ -550,6 +567,7 @@ int cmd_trace(const std::vector<std::string>& args) {
 
 int cmd_eval(const std::vector<std::string>& args) {
   if (args.empty()) usage();
+  expect_at_most(args, 3);
   const std::size_t samples = arg_u64(args, 1, 2000, "samples");
   const double eps = arg_positive_double(args, 2, 0.5, "eps");
   Stack stack(load_graph(args[0]), eps);
@@ -639,10 +657,11 @@ int cmd_audit(std::vector<std::string> args) {
       for (const std::string& token : split_csv(value)) {
         if (token == "dense") {
           options.backends.push_back(MetricBackendKind::kDense);
-        } else if (token == "lazy") {
-          options.backends.push_back(MetricBackendKind::kLazy);
+        } else if (token == "rowfree") {
+          options.backends.push_back(MetricBackendKind::kRowFree);
         } else {
-          std::fprintf(stderr, "--backends entries must be 'dense' or 'lazy'\n\n");
+          std::fprintf(stderr,
+                       "--backends entries must be 'dense' or 'rowfree'\n\n");
           usage();
         }
       }
@@ -687,7 +706,7 @@ int cmd_audit(std::vector<std::string> args) {
                 static_cast<unsigned long long>(outcome.config.seed),
                 outcome.config.epsilon,
                 outcome.config.backend == MetricBackendKind::kDense ? "dense"
-                                                                    : "lazy",
+                                                                    : "rowfree",
                 outcome.config.workers,
                 outcome.issues.front().invariant.c_str());
   }
@@ -708,6 +727,7 @@ int cmd_audit(std::vector<std::string> args) {
 
 int cmd_save(const std::vector<std::string>& args) {
   if (args.size() < 2) usage();
+  expect_at_most(args, 3);
   const double eps = arg_positive_double(args, 2, 0.5, "eps");
   Stack stack(load_graph(args[0]), eps);
   const std::vector<std::uint8_t> bytes =
@@ -739,10 +759,11 @@ int cmd_build(std::vector<std::string> args) {
       verify = true;
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
-      ++i;
+      skip_positional(args, i, "build");
     }
   }
   if (args.empty()) usage();
+  expect_at_most(args, 2);
   if (schemes != "all" && schemes != "light") {
     std::fprintf(stderr, "--schemes must be 'all' or 'light', got '%s'\n\n",
                  schemes.c_str());
@@ -884,6 +905,7 @@ int cmd_build(std::vector<std::string> args) {
 
 int cmd_load_info(const std::vector<std::string>& args) {
   if (args.empty()) usage();
+  expect_at_most(args, 1);
   const std::vector<std::uint8_t> bytes = read_snapshot_file(args[0]);
   const auto sections = snapshot_directory(bytes);
   const SnapshotStack stack = decode_snapshot(bytes);
@@ -943,10 +965,11 @@ int cmd_serve(std::vector<std::string> args) {
       do_audit = true;
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
-      ++i;
+      skip_positional(args, i, "serve");
     }
   }
   if (args.empty()) usage();
+  expect_at_most(args, 1);
   if (pairs == 0) {
     std::fprintf(stderr, "--pairs must be >= 1\n\n");
     usage();
@@ -1182,10 +1205,11 @@ int cmd_server(std::vector<std::string> args) {
       use_mmap = false;
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
-      ++i;
+      skip_positional(args, i, "server");
     }
   }
   if (args.empty()) usage();
+  expect_at_most(args, 2);
   if (queue_depth == 0) {
     std::fprintf(stderr, "--queue-depth must be >= 1\n\n");
     usage();
@@ -1441,10 +1465,11 @@ int cmd_mine(std::vector<std::string> args) {
     } else if (take_option(args, i, "--eps", value)) {
       eps = parse_positive_double(value, "--eps value");
     } else {
-      ++i;
+      skip_positional(args, i, "mine");
     }
   }
   if (args.size() < 2) usage();
+  expect_at_most(args, 2);
   if (options.samples < 1 || options.keep < 1) {
     std::fprintf(stderr, "--samples and --keep must be >= 1\n\n");
     usage();
@@ -1500,9 +1525,10 @@ int cmd_stats(std::vector<std::string> args) {
     } else if (take_option(args, i, "--seed", value)) {
       seed = parse_u64(value, "--seed value");
     } else {
-      ++i;
+      skip_positional(args, i, "stats");
     }
   }
+  expect_at_most(args, 1);
   if (format != "prom" && format != "json") {
     std::fprintf(stderr, "--format must be 'prom' or 'json', got '%s'\n\n",
                  format.c_str());
@@ -1588,8 +1614,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
 
   // Strip global options wherever they appear. --threads overrides the
-  // CR_THREADS environment variable for this process; --metric and
-  // --metric-cache-mb select the MetricSpace backend for every command.
+  // CR_THREADS environment variable for this process; --metric selects the
+  // MetricSpace backend for every command.
   std::string value;
   for (std::size_t i = 0; i < args.size();) {
     if (take_option(args, i, "--threads", value)) {
@@ -1602,20 +1628,15 @@ int main(int argc, char** argv) {
     } else if (take_option(args, i, "--metric", value)) {
       if (value == "dense") {
         g_metric_options.backend = MetricBackendKind::kDense;
-      } else if (value == "lazy") {
-        g_metric_options.backend = MetricBackendKind::kLazy;
       } else if (value == "rowfree") {
         g_metric_options.backend = MetricBackendKind::kRowFree;
       } else {
         std::fprintf(stderr,
-                     "--metric must be 'dense', 'lazy', or 'rowfree', got "
+                     "--metric must be 'dense' or 'rowfree', got "
                      "'%s'\n\n",
                      value.c_str());
         usage();
       }
-    } else if (take_option(args, i, "--metric-cache-mb", value)) {
-      const std::uint64_t mb = parse_u64(value, "--metric-cache-mb value");
-      g_metric_options.cache_bytes = static_cast<std::size_t>(mb) * 1024 * 1024;
     } else {
       ++i;
     }

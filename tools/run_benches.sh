@@ -57,6 +57,8 @@ assert hot["fingerprints_stable"] is True
 assert hot["requests"] > 0 and hot["routes_per_sec"] > 0
 assert hot["p999_us"] >= hot["p99_us"] >= 0
 assert doc["load_ms_mmap"] > 0 and doc["load_ms_vector"] > 0
+for s in doc["schemes"]:
+    int(s["fingerprint"], 16)  # all 64 bits, as a hex string
 curve = doc["shed_curve"]
 assert len(curve) >= 5
 assert curve[0]["shed"] == 0          # under capacity: nothing sheds

@@ -210,3 +210,24 @@ execute_process(COMMAND ${CRTOOL} frobnicate RESULT_VARIABLE rc)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "crtool unknown command should exit 2, got ${rc}")
 endif()
+# Unknown flags and surplus arguments are usage errors, not silently ignored
+# typos. Each command line is otherwise valid, so only the last token can
+# turn it into exit 2.
+set(bogus_cases
+    "build|${graph}|0.5|--bogus-flag"
+    "serve|${snap}|--pairs|10|--bogus-flag"
+    "server|${snap}|--requests|10|--bogus-flag"
+    "mine|${graph}|${mined}.bogus|--samples|10|--keep|2|--bogus-flag"
+    "stats|${snap}|--pairs|10|--bogus-flag"
+    "info|${graph}|surplus"
+    "route|${graph}|0|63|0.5|surplus"
+    "eval|${graph}|10|0.5|surplus"
+    "load-info|${snap}|surplus")
+foreach(case IN LISTS bogus_cases)
+  string(REPLACE "|" ";" argv "${case}")
+  execute_process(COMMAND ${CRTOOL} ${argv}
+                  RESULT_VARIABLE rc ERROR_QUIET OUTPUT_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "crtool ${argv} should exit 2, got ${rc}")
+  endif()
+endforeach()
