@@ -5,10 +5,11 @@
 // tables on 4 workers through runtime/serve. Reported per scheme: routes/s,
 // latency percentiles, hops per route, and the batch fingerprint.
 //
-// The loaded stack serves through one shared HopArena (flat hop-state slabs,
-// E10); the fresh in-process stack serves through private arenas compiled
-// from the built schemes. The fingerprint equality check below certifies
-// that the snapshot round trip changes no route.
+// The loaded stack serves through a ServerEpoch's hop runtimes, which share
+// one HopArena (flat hop-state slabs, E10); the fresh in-process stack
+// serves through private arenas compiled from the built schemes. The
+// fingerprint equality check below certifies that the snapshot round trip
+// changes no route.
 //
 // Headlines (n = 1024, 4 workers, `*_target_met` in BENCH_serving.json):
 //   * hop/labeled-hierarchical >= 1M routes/s
@@ -64,13 +65,8 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
 }
 
 double percentile_of(std::vector<double>& values, double q) {
-  if (values.empty()) return 0;
   std::sort(values.begin(), values.end());
-  const double rank = q * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] +
-         (values[hi] - values[lo]) * (rank - static_cast<double>(lo));
+  return sorted_percentile(values, q);
 }
 
 }  // namespace
@@ -103,25 +99,21 @@ int main(int argc, char** argv) {
   const double encode_ms = elapsed_ms(start);
 
   start = std::chrono::steady_clock::now();
-  const SnapshotStack loaded = decode_snapshot(bytes);
+  SnapshotStack decoded = decode_snapshot(bytes);
   const double decode_ms = elapsed_ms(start);
 
-  // One arena shared by all four loaded-side hop runtimes (E10).
-  start = std::chrono::steady_clock::now();
-  const std::shared_ptr<const HopArena> arena = loaded.build_arena();
-  const double arena_ms = elapsed_ms(start);
+  // The loaded side serves through an epoch: one arena shared by its four
+  // hop runtimes (E10), exactly as the server and crtool serve it.
+  const std::shared_ptr<ServerEpoch> epoch =
+      ServerEpoch::adopt(std::move(decoded), 0);
+  const SnapshotStack& loaded = epoch->stack();
+  const double arena_ms = epoch->load_info().arena_ms;
+  const std::size_t arena_bytes = epoch->load_info().arena_bytes;
   std::printf("snapshot: %zu bytes (%.1f bits/node), encode %.1f ms, "
               "load %.1f ms; arena: %zu bytes, build %.1f ms\n\n",
               bytes.size(), 8.0 * static_cast<double>(bytes.size()) /
                                 static_cast<double>(n),
-              encode_ms, decode_ms, arena->memory_bytes(), arena_ms);
-
-  const auto labeled = make_requests(n, kPairs, kSeed, [&](NodeId v) {
-    return std::uint64_t{loaded.hierarchy->leaf_label(v)};
-  });
-  const auto named = make_requests(n, kPairs, kSeed + 1, [&](NodeId v) {
-    return loaded.naming->name_of(v);
-  });
+              encode_ms, decode_ms, arena_bytes, arena_ms);
 
   obs::JsonValue doc = obs::JsonValue::object();
   doc["bench"] = std::string("serving");
@@ -132,7 +124,7 @@ int main(int argc, char** argv) {
   doc["pairs"] = static_cast<std::uint64_t>(kPairs);
   doc["seed"] = kSeed;
   doc["snapshot_bytes"] = static_cast<std::uint64_t>(bytes.size());
-  doc["arena_bytes"] = static_cast<std::uint64_t>(arena->memory_bytes());
+  doc["arena_bytes"] = static_cast<std::uint64_t>(arena_bytes);
   doc["encode_ms"] = encode_ms;
   doc["decode_ms"] = decode_ms;
   doc["arena_build_ms"] = arena_ms;
@@ -143,9 +135,13 @@ int main(int argc, char** argv) {
 
   double headline_routes_per_sec = 0;
   double ni_min_routes_per_sec = -1;
-  const auto run = [&](const HopScheme& loaded_hop, const HopScheme& fresh_hop,
-                       const std::vector<ServeRequest>& requests,
-                       bool headline, bool ni) {
+  const auto run = [&](ServeScheme scheme, const HopScheme& fresh_hop) {
+    const HopScheme& loaded_hop = epoch->hop(scheme);
+    const bool ni = scheme == ServeScheme::kSimpleNi ||
+                    scheme == ServeScheme::kScaleFreeNi;
+    const std::vector<ServeRequest> requests = make_requests(
+        n, kPairs, ni ? kSeed + 1 : kSeed,
+        [&](NodeId v) { return epoch->dest_key(scheme, v); });
     // Warm the caches and the executor before the measured batch.
     const std::vector<ServeRequest> warmup(requests.begin(),
                                            requests.begin() + 512);
@@ -167,7 +163,9 @@ int main(int argc, char** argv) {
                 s.p99_us, s.p999_us,
                 static_cast<double>(s.total_hops) /
                     static_cast<double>(s.requests));
-    if (headline) headline_routes_per_sec = s.routes_per_sec;
+    if (scheme == ServeScheme::kHierarchical) {
+      headline_routes_per_sec = s.routes_per_sec;
+    }
     if (ni && (ni_min_routes_per_sec < 0 ||
                s.routes_per_sec < ni_min_routes_per_sec)) {
       ni_min_routes_per_sec = s.routes_per_sec;
@@ -190,17 +188,12 @@ int main(int argc, char** argv) {
     doc["schemes"].push_back(std::move(entry));
   };
 
-  run(HierarchicalHopScheme(*loaded.hier, arena),
-      HierarchicalHopScheme(*stack.hier_labeled), labeled,
-      /*headline=*/true, /*ni=*/false);
-  run(ScaleFreeHopScheme(*loaded.sf, arena),
-      ScaleFreeHopScheme(*stack.sf_labeled), labeled, false, false);
-  run(SimpleNameIndependentHopScheme(*loaded.simple, *loaded.hier, arena),
-      SimpleNameIndependentHopScheme(*stack.simple_ni, *stack.hier_labeled),
-      named, false, /*ni=*/true);
-  run(ScaleFreeNameIndependentHopScheme(*loaded.sfni, *loaded.sf, arena),
-      ScaleFreeNameIndependentHopScheme(*stack.sf_ni, *stack.sf_labeled),
-      named, false, /*ni=*/true);
+  run(ServeScheme::kHierarchical, HierarchicalHopScheme(*stack.hier_labeled));
+  run(ServeScheme::kScaleFree, ScaleFreeHopScheme(*stack.sf_labeled));
+  run(ServeScheme::kSimpleNi,
+      SimpleNameIndependentHopScheme(*stack.simple_ni, *stack.hier_labeled));
+  run(ServeScheme::kScaleFreeNi,
+      ScaleFreeNameIndependentHopScheme(*stack.sf_ni, *stack.sf_labeled));
 
   const bool target_met = headline_routes_per_sec >= kHeadlineRoutesPerSec;
   const bool ni_target_met = ni_min_routes_per_sec >= kNiRoutesPerSec;

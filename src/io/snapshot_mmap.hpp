@@ -26,8 +26,8 @@ namespace compactroute {
 
 /// A read-only memory mapping of a snapshot file. Move-only; the mapping is
 /// released (munmap) on destruction. The span stays valid and immutable for
-/// the object's lifetime — decode borrows it, ServerEpoch (runtime/server.hpp)
-/// keeps it alive until the epoch's last in-flight request retires.
+/// the object's lifetime — decode borrows it and copies what it keeps, so
+/// ServerEpoch::load (runtime/server.hpp) unmaps as soon as decode returns.
 class MappedSnapshot {
  public:
   /// Maps `path` read-only with MADV_SEQUENTIAL|MADV_WILLNEED hints (the

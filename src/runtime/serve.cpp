@@ -16,14 +16,13 @@ namespace compactroute {
 
 namespace {
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+/// Requests per parallel_for chunk; every chunk but the last is exactly
+/// this long, so a chunk's dispatch order fits a stack buffer.
+constexpr std::size_t kChunk = 64;
 
-double percentile(const std::vector<double>& sorted, double q) {
+}  // namespace
+
+double sorted_percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0;
   const double rank = q * static_cast<double>(sorted.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(rank);
@@ -32,7 +31,15 @@ double percentile(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-}  // namespace
+std::uint64_t fingerprint_term(std::uint64_t fp, std::size_t index) {
+  // One splitmix64 step from the state fp + golden·(index + 1).
+  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t x = fp + kGolden * (index + 1);
+  x += kGolden;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 std::vector<ServeRequest> make_requests(
     std::size_t n, std::size_t count, std::uint64_t seed,
@@ -114,8 +121,8 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
   const std::size_t sample_every =
       obs::SpanCollector::global().enabled() ? options.span_sample_every : 0;
 #endif
-  parallel_for("serve.batch", count, 64, [&](std::size_t first,
-                                             std::size_t last) {
+  parallel_for("serve.batch", count, kChunk, [&](std::size_t first,
+                                                 std::size_t last) {
 #ifndef CR_OBS_DISABLED
     // Shard handles resolve once per chunk (each lookup locks the shard's
     // own mutex); the steady-state per-request cost is two relaxed
@@ -170,29 +177,19 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
     // Dispatch order: destination-sorted within the chunk, so consecutive
     // requests revisit overlapping arena rows while they are still cached.
     // Outputs land in per-index slots, so order never affects results.
-    const std::size_t len = last - first;
-    std::uint32_t order_buf[64];
-    std::vector<std::uint32_t> order_spill;
-    std::uint32_t* order = nullptr;
-    if (options.sort_by_dest) {
-      if (len > 64) {
-        order_spill.resize(len);
-        order = order_spill.data();
-      } else {
-        order = order_buf;
-      }
-      for (std::size_t k = 0; k < len; ++k) {
-        order[k] = static_cast<std::uint32_t>(first + k);
-      }
-      std::sort(order, order + len, [&](std::uint32_t a, std::uint32_t b) {
-        if (requests[a].dest_key != requests[b].dest_key) {
-          return requests[a].dest_key < requests[b].dest_key;
-        }
-        return a < b;
-      });
-    }
+    const std::size_t len = last - first;  // <= kChunk
+    std::uint32_t order[kChunk];
     for (std::size_t k = 0; k < len; ++k) {
-      const std::size_t i = order != nullptr ? order[k] : first + k;
+      order[k] = static_cast<std::uint32_t>(first + k);
+    }
+    std::sort(order, order + len, [&](std::uint32_t a, std::uint32_t b) {
+      if (requests[a].dest_key != requests[b].dest_key) {
+        return requests[a].dest_key < requests[b].dest_key;
+      }
+      return a < b;
+    });
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::size_t i = order[k];
 #ifndef CR_OBS_DISABLED
       if (sample_every != 0 && i % sample_every == 0) {
         obs::SpanScope span("serve.request", "serve");
@@ -215,14 +212,14 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
       elapsed_s > 0 ? static_cast<double>(count) / elapsed_s : 0;
   for (std::size_t i = 0; i < count; ++i) {
     stats.total_hops += hop_counts[i];
-    stats.fingerprint ^= mix64(fingerprints[i] + 0x9e3779b97f4a7c15ULL * (i + 1));
+    stats.fingerprint ^= fingerprint_term(fingerprints[i], i);
   }
   if (options.collect_latencies && count > 0) {
     std::sort(latencies_us.begin(), latencies_us.end());
-    stats.p50_us = percentile(latencies_us, 0.50);
-    stats.p90_us = percentile(latencies_us, 0.90);
-    stats.p99_us = percentile(latencies_us, 0.99);
-    stats.p999_us = percentile(latencies_us, 0.999);
+    stats.p50_us = sorted_percentile(latencies_us, 0.50);
+    stats.p90_us = sorted_percentile(latencies_us, 0.90);
+    stats.p99_us = sorted_percentile(latencies_us, 0.99);
+    stats.p999_us = sorted_percentile(latencies_us, 0.999);
     stats.max_us = latencies_us.back();
   }
   CR_OBS_ADD("serve.requests", count);

@@ -49,11 +49,6 @@ struct ServeOptions {
   /// "serve.request" span for every N-th request of the batch. 0 disables
   /// request spans.
   std::size_t span_sample_every = 0;
-  /// Sort each worker's chunk by destination key before dispatch, so
-  /// consecutive requests walk overlapping arena rows (warm slab lines).
-  /// Output slots are per-request-index, so stats and fingerprints are
-  /// unaffected by the dispatch order.
-  bool sort_by_dest = true;
 };
 
 struct ServeStats {
@@ -86,6 +81,17 @@ std::vector<ServeRequest> make_requests(
 ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
                        const std::vector<ServeRequest>& requests,
                        const ServeOptions& options = {});
+
+/// The q-quantile (q in [0, 1]) of an ascending-sorted sample, linearly
+/// interpolated between ranks; 0 for an empty sample. ServeStats' latency
+/// percentiles use it, as do the server's reports.
+double sorted_percentile(const std::vector<double>& sorted, double q);
+
+/// The batch digest's term for request `index` with route fingerprint `fp`
+/// (splitmix64 of fp mixed with the index). A batch fingerprint is the XOR
+/// of its requests' terms, so it is independent of worker count and
+/// scheduling order; Server's digests fold with this same term.
+std::uint64_t fingerprint_term(std::uint64_t fp, std::size_t index);
 
 /// Fingerprint of one request's route (the serve_batch inner loop, exposed
 /// so audits can compare individual routes); outputs the hop count.

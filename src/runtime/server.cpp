@@ -6,6 +6,7 @@
 #include "core/check.hpp"
 #include "core/parallel.hpp"
 #include "core/prng.hpp"
+#include "io/snapshot_mmap.hpp"
 #include "nets/rnet.hpp"
 #include "obs/metrics.hpp"
 #include "routing/naming.hpp"
@@ -18,17 +19,6 @@
 namespace compactroute {
 
 namespace {
-
-// serve_batch's request-index mixer (splitmix64 finalizer) — same constants,
-// so delivered_digest over a full un-shed batch equals the batch fingerprint.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 
 /// Seed of the fixed per-epoch self-audit batch. The batch is a function of
 /// (seed, scheme, n) only, so the same snapshot loaded twice — or audited at
@@ -80,9 +70,11 @@ std::shared_ptr<ServerEpoch> ServerEpoch::load(const std::string& path,
 
   const auto t0 = Clock::now();
   if (use_mmap) {
-    epoch->mapping_.emplace(path);
-    epoch->load_info_.file_bytes = epoch->mapping_->size();
-    epoch->stack_ = epoch->mapping_->decode();
+    // Decode copies every component out of the mapping, so it is released
+    // here rather than held for the epoch's life.
+    const MappedSnapshot mapping(path);
+    epoch->load_info_.file_bytes = mapping.size();
+    epoch->stack_ = mapping.decode();
   } else {
     const std::vector<std::uint8_t> bytes = read_snapshot_file(path);
     epoch->load_info_.file_bytes = bytes.size();
@@ -110,19 +102,27 @@ void ServerEpoch::compile() {
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
   arena_ = stack_.build_arena();
+  load_info_.arena_bytes = arena_->memory_bytes();
+  const auto slot = [this](ServeScheme scheme) -> std::unique_ptr<HopScheme>& {
+    return hops_[static_cast<std::size_t>(scheme)];
+  };
   if (stack_.hier) {
-    hier_ = std::make_unique<HierarchicalHopScheme>(*stack_.hier, arena_);
+    slot(ServeScheme::kHierarchical) =
+        std::make_unique<HierarchicalHopScheme>(*stack_.hier, arena_);
   }
   if (stack_.sf) {
-    sf_ = std::make_unique<ScaleFreeHopScheme>(*stack_.sf, arena_);
+    slot(ServeScheme::kScaleFree) =
+        std::make_unique<ScaleFreeHopScheme>(*stack_.sf, arena_);
   }
   if (stack_.simple) {
-    simple_ = std::make_unique<SimpleNameIndependentHopScheme>(
-        *stack_.simple, *stack_.hier, arena_);
+    slot(ServeScheme::kSimpleNi) =
+        std::make_unique<SimpleNameIndependentHopScheme>(*stack_.simple,
+                                                         *stack_.hier, arena_);
   }
   if (stack_.sfni) {
-    sfni_ = std::make_unique<ScaleFreeNameIndependentHopScheme>(
-        *stack_.sfni, *stack_.sf, arena_);
+    slot(ServeScheme::kScaleFreeNi) =
+        std::make_unique<ScaleFreeNameIndependentHopScheme>(*stack_.sfni,
+                                                            *stack_.sf, arena_);
   }
   load_info_.arena_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -132,9 +132,10 @@ void ServerEpoch::compile() {
 }
 
 ServerEpoch::~ServerEpoch() {
-  // The grace invariant: destruction (and with it the munmap of mapping_)
-  // must only happen once no request holds a pin. shared_ptr ownership makes
-  // premature destruction a bug in the pin protocol, not a race we tolerate.
+  // The grace invariant: destruction (and with it the release of the stack
+  // and arena) must only happen once no request holds a pin. shared_ptr
+  // ownership makes premature destruction a bug in the pin protocol, not a
+  // race we tolerate.
   CR_CHECK_MSG(in_flight_.load(std::memory_order_acquire) == 0,
                "epoch destroyed with requests in flight");
   if (counted_alive_) g_epochs_alive.fetch_sub(1, std::memory_order_relaxed);
@@ -142,16 +143,6 @@ ServerEpoch::~ServerEpoch() {
 
 std::size_t ServerEpoch::alive() {
   return g_epochs_alive.load(std::memory_order_relaxed);
-}
-
-bool ServerEpoch::has(ServeScheme scheme) const {
-  switch (scheme) {
-    case ServeScheme::kHierarchical: return hier_ != nullptr;
-    case ServeScheme::kScaleFree: return sf_ != nullptr;
-    case ServeScheme::kSimpleNi: return simple_ != nullptr;
-    case ServeScheme::kScaleFreeNi: return sfni_ != nullptr;
-  }
-  return false;
 }
 
 std::uint64_t ServerEpoch::dest_key(ServeScheme scheme, NodeId dest) const {
@@ -168,25 +159,22 @@ std::uint64_t ServerEpoch::dest_key(ServeScheme scheme, NodeId dest) const {
   return 0;
 }
 
+const HopScheme& ServerEpoch::hop(ServeScheme scheme) const {
+  CR_CHECK_MSG(has(scheme), "request for a scheme this epoch lacks");
+  return *hops_[static_cast<std::size_t>(scheme)];
+}
+
 std::uint64_t ServerEpoch::serve(const ServerRequest& request,
                                  std::size_t max_hops,
                                  std::size_t* hops) const {
-  CR_CHECK_MSG(has(request.scheme), "request for a scheme this epoch lacks");
-  const HopScheme* scheme = nullptr;
-  switch (request.scheme) {
-    case ServeScheme::kHierarchical: scheme = hier_.get(); break;
-    case ServeScheme::kScaleFree: scheme = sf_.get(); break;
-    case ServeScheme::kSimpleNi: scheme = simple_.get(); break;
-    case ServeScheme::kScaleFreeNi: scheme = sfni_.get(); break;
-  }
   const std::size_t budget =
       max_hops != 0 ? max_hops : 64 * stack_.n + 1024;
   ServeRequest one;
   one.src = request.src;
   one.dest_key = dest_key(request.scheme, request.dest);
   bool delivered = false;
-  const std::uint64_t fp =
-      serve_one(stack_.csr, *scheme, one, budget, hops, &delivered);
+  const std::uint64_t fp = serve_one(stack_.csr, hop(request.scheme), one,
+                                     budget, hops, &delivered);
   CR_CHECK(delivered);
   return fp;
 }
@@ -209,7 +197,7 @@ std::uint64_t ServerEpoch::compute_self_fingerprint() const {
       if (dest >= request.src) ++dest;
       request.dest = dest;
       const std::uint64_t fp = serve(request, 0, nullptr);
-      digest ^= mix64(fp + kGolden * (k + 1));
+      digest ^= fingerprint_term(fp, k);
     }
   }
   return digest;
@@ -391,7 +379,7 @@ std::uint64_t Server::delivered_digest(
         ServeStatus::kDelivered) {
       continue;
     }
-    digest ^= mix64(results[i].fingerprint + kGolden * (i + 1));
+    digest ^= fingerprint_term(results[i].fingerprint, i);
   }
   return digest;
 }

@@ -7,15 +7,17 @@
 // serving (build once, query forever) needs three things it lacks:
 //
 //   * a load path that does not copy the snapshot: ServerEpoch maps the file
-//     (io/snapshot_mmap) and decodes through the borrowed-buffer path, the
-//     mapping staying alive exactly as long as the epoch;
+//     (io/snapshot_mmap), decodes through the borrowed-buffer path, and
+//     unmaps it before the epoch is returned — decode copies every
+//     component, so an epoch never depends on its file again and rewriting
+//     the file after load cannot fault a serving epoch;
 //   * zero-downtime reload: the server holds an atomic epoch pointer; a new
 //     epoch is built off to the side (map + decode + HopArena compile) and
 //     published with one atomic swap. In-flight requests pin the epoch they
-//     started on (RCU-style grace counting), so the old epoch — and its
-//     mapping — is released only when the last pinned request retires. Both
-//     epochs' serve fingerprints are re-audited against their load-time
-//     values across every flip;
+//     started on (RCU-style grace counting), so the old epoch's tables are
+//     released only when the last pinned request retires. Both epochs'
+//     serve fingerprints are re-audited against their load-time values
+//     across every flip;
 //   * overload behaviour: requests land in bounded per-shard rings. A full
 //     shard either sheds (the request is counted in `serve.queue.shed` and
 //     never served — a shed request NEVER returns a route) or, in
@@ -29,27 +31,21 @@
 // occupancy, so shed counts and the delivered-request digest are reproducible
 // (tests/test_server.cpp).
 //
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/types.hpp"
 #include "io/snapshot.hpp"
-#include "io/snapshot_mmap.hpp"
 #include "runtime/hop_scheme.hpp"
 
 namespace compactroute {
-
-class HierarchicalHopScheme;
-class ScaleFreeHopScheme;
-class SimpleNameIndependentHopScheme;
-class ScaleFreeNameIndependentHopScheme;
 
 /// Which hop runtime a request rides. Labeled schemes address destinations by
 /// netting-tree leaf label, name-independent ones by original name — both are
@@ -104,11 +100,12 @@ struct ServerResult {
 };
 
 /// A fully loaded, immutable serving snapshot: the decoded stack, its
-/// compiled HopArena, the four hop runtimes, and (on the mmap path) the live
-/// file mapping. Epochs are shared_ptr-managed; the destructor — which is
-/// where the mapping is released — CR_CHECKs that no request is still pinned,
-/// making "unmap only after the last in-flight request retires" an enforced
-/// invariant rather than a convention.
+/// compiled HopArena and the hop runtimes of its present schemes. This is
+/// the one place a snapshot file becomes hop runtimes; every serving tool
+/// loads through it. Epochs are shared_ptr-managed; the destructor CR_CHECKs
+/// that no request is still pinned, making "free the tables only after the
+/// last in-flight request retires" an enforced invariant rather than a
+/// convention.
 class ServerEpoch {
  public:
   struct LoadInfo {
@@ -116,11 +113,13 @@ class ServerEpoch {
     std::size_t file_bytes = 0;
     double load_ms = 0;   // open/map/read + validate + decode
     double arena_ms = 0;  // HopArena compile + hop runtime construction
+    std::size_t arena_bytes = 0;  // resident bytes of the compiled HopArena
   };
 
   /// Loads `path` (mmap + borrowed-buffer decode when `use_mmap`, else the
-  /// heap-read vector path), compiles the arena, constructs a hop runtime per
-  /// present scheme, and records the load-time self-audit fingerprint.
+  /// heap-read vector path; the mapping is released as soon as decode
+  /// returns), compiles one arena, constructs a hop runtime per present
+  /// scheme over it, and records the load-time self-audit fingerprint.
   /// Throws SnapshotError on any load defect.
   static std::shared_ptr<ServerEpoch> load(const std::string& path,
                                            bool use_mmap, std::uint64_t id);
@@ -137,7 +136,13 @@ class ServerEpoch {
   std::size_t n() const { return stack_.n; }
   const SnapshotStack& stack() const { return stack_; }
   const LoadInfo& load_info() const { return load_info_; }
-  bool has(ServeScheme scheme) const;
+  bool has(ServeScheme scheme) const {
+    return hops_[static_cast<std::size_t>(scheme)] != nullptr;
+  }
+
+  /// The scheme's hop runtime over this epoch's shared arena. The scheme
+  /// must be present (has()).
+  const HopScheme& hop(ServeScheme scheme) const;
 
   /// The scheme's destination key for `dest` under THIS epoch's tables
   /// (leaf label for labeled schemes, name for NI schemes).
@@ -163,8 +168,8 @@ class ServerEpoch {
   }
 
   /// Number of ServerEpoch objects currently alive in the process — the test
-  /// hook proving old epochs are actually destroyed (and unmapped) after
-  /// their grace period.
+  /// hook proving old epochs are actually destroyed after their grace
+  /// period.
   static std::size_t alive();
 
  private:
@@ -174,13 +179,10 @@ class ServerEpoch {
 
   std::uint64_t id_ = 0;
   LoadInfo load_info_;
-  std::optional<MappedSnapshot> mapping_;  // engaged only on the mmap path
   SnapshotStack stack_;
   std::shared_ptr<const HopArena> arena_;
-  std::unique_ptr<HierarchicalHopScheme> hier_;
-  std::unique_ptr<ScaleFreeHopScheme> sf_;
-  std::unique_ptr<SimpleNameIndependentHopScheme> simple_;
-  std::unique_ptr<ScaleFreeNameIndependentHopScheme> sfni_;
+  /// Indexed by ServeScheme; null for a scheme the snapshot lacks.
+  std::array<std::unique_ptr<HopScheme>, kNumServeSchemes> hops_;
   std::uint64_t self_fingerprint_ = 0;
   std::atomic<std::size_t> in_flight_{0};
   bool counted_alive_ = false;  // alive() bookkeeping (set once compiled)

@@ -16,11 +16,18 @@
 //   * backpressure — a full shard blocks the submitter instead of shedding;
 //     with a pumper thread draining, every request is eventually delivered
 //     and the shed counter stays zero;
-//   * grace counting + publish audit plumbing.
+//   * grace counting + publish audit plumbing;
+//   * file independence — ServerEpoch::load unmaps its snapshot as soon as
+//     decode returns, so truncating or rewriting the file under a serving
+//     epoch changes none of its routes.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -359,6 +366,54 @@ TEST(Server, StopRejectsSubmitsAndWakesBackpressure) {
   std::vector<ServerResult> results(1);
   EXPECT_EQ(server.drain(results), 1u);
   EXPECT_EQ(results[0].status.load(), ServeStatus::kDelivered);
+}
+
+/// Whether the process still maps `path` (Linux /proc/self/maps; false when
+/// the maps file is unreadable, so the check degrades to a no-op elsewhere).
+bool process_maps(const std::string& path) {
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    if (line.find(path) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(ServerEpoch, LoadedEpochOutlivesItsFile) {
+  Executor::global().set_workers(1);
+  const std::string path = ::testing::TempDir() + "test_server_rewrite_" +
+                           std::to_string(getpid()) + ".snap";
+  write_snapshot_file(path, bytes_a());
+  const auto epoch = ServerEpoch::load(path, /*use_mmap=*/true, 0);
+  EXPECT_TRUE(epoch->load_info().used_mmap);
+  EXPECT_EQ(epoch->load_info().file_bytes, bytes_a().size());
+  EXPECT_GT(epoch->load_info().arena_bytes, 0u);
+  EXPECT_FALSE(process_maps(path)) << "epoch still maps " << path;
+  // An epoch adopted from the same bytes, never mapped, is the reference.
+  const auto reference = make_epoch(0);
+  EXPECT_EQ(epoch->self_fingerprint(), reference->self_fingerprint());
+
+  // Truncate the file, then rewrite it with the other topology: the loaded
+  // epoch serves exactly what it served before, directly and via a Server.
+  { std::ofstream truncate(path, std::ios::trunc); }
+  EXPECT_TRUE(epoch->audit());
+  write_snapshot_file(path, bytes_b());
+  EXPECT_TRUE(epoch->audit());
+
+  Server server;
+  server.publish(epoch);
+  const std::vector<ServerRequest> requests = mixed_requests(64, 200, 7);
+  std::vector<ServerResult> results(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(server.submit(requests[i], i));
+  }
+  EXPECT_EQ(server.drain(results), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(results[i].status.load(), ServeStatus::kDelivered);
+    EXPECT_EQ(results[i].fingerprint,
+              reference->serve(requests[i], 0, nullptr));
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Server, PublishReturnsPreviousAndReleasesIt) {

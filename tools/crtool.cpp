@@ -9,16 +9,16 @@
 //   crtool audit [options]                      deterministic fuzz campaign:
 //                                               sweep generator families and
 //                                               audit every paper invariant
-//   crtool save <graph> <out.snap> [eps]        build the stack and write a
-//                                               versioned binary snapshot
-//   crtool build <graph> [eps] [options]        row-free build benchmark:
+//   crtool build <graph> [eps] [options]        build the four-scheme stack:
 //                                               per-phase wall times + peak
-//                                               RSS; --stream --out streams
-//                                               sections to disk as schemes
-//                                               complete (DESIGN.md §10)
+//                                               RSS; --out writes the
+//                                               versioned binary snapshot,
+//                                               --stream streams sections to
+//                                               it as schemes complete
+//                                               (DESIGN.md §10)
 //   crtool load-info <snap>                     snapshot header + section table
 //   crtool serve <snap> [options]               replay route batches against a
-//                                               loaded snapshot (no metric)
+//                                               loaded epoch (no metric)
 //   crtool server <snap> [<snap2>] [options]    long-running serving engine:
 //                                               mmap zero-copy epoch loads,
 //                                               bounded shard queues with
@@ -63,6 +63,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/snapshot_audit.hpp"
@@ -113,7 +114,6 @@ namespace {
                "  crtool eval <graph> [samples] [eps]\n"
                "  crtool trace <graph> <src> <dst> [eps] [out.json]\n"
                "  crtool audit [audit options]\n"
-               "  crtool save <graph> <out.snap> [eps]\n"
                "  crtool build <graph> [eps] [build options]\n"
                "  crtool load-info <snap>\n"
                "  crtool serve <snap> [serve options]\n"
@@ -335,11 +335,21 @@ void expect_at_most(const std::vector<std::string>& args, std::size_t max) {
   }
 }
 
+/// Arguments each `gen` family takes after the output path (all optional).
+constexpr std::pair<const char*, std::size_t> kGenArity[] = {
+    {"grid", 2},     {"torus", 2},      {"geometric", 4}, {"spider", 2},
+    {"clusters", 4}, {"cliques", 3},    {"tree", 3},      {"lbtree", 2},
+    {"powerlaw", 3}, {"hyperbolic", 4}, {"astopo", 3},
+};
+
 int cmd_gen(const std::vector<std::string>& args) {
   if (args.size() < 2) usage();
   const std::string& family = args[0];
   const std::string& out = args[1];
   const std::vector<std::string> rest(args.begin() + 2, args.end());
+  for (const auto& [name, arity] : kGenArity) {
+    if (family == name) expect_at_most(rest, arity);
+  }
   Graph graph;
   if (family == "grid") {
     graph = make_grid(arg_u64(rest, 0, 16), arg_u64(rest, 1, 16));
@@ -430,12 +440,15 @@ int cmd_info(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// The four-scheme stack built fresh from a graph, with the builders' ε
+/// clamp. `naming` defaults to the seeded naming `build` writes.
 struct Stack {
-  explicit Stack(Graph g, double eps)
+  Stack(Graph g, double eps, const Naming* given_naming = nullptr)
       : graph(std::move(g)),
         metric(graph, g_metric_options),
         hierarchy(metric),
-        naming(Naming::random(metric.n(), 4242)),
+        naming(given_naming != nullptr ? *given_naming
+                                       : Naming::random(metric.n(), 4242)),
         hier(metric, hierarchy, std::min(eps, 0.5)),
         sf(metric, hierarchy, std::min(eps, 0.5)),
         simple(metric, hierarchy, naming, hier, eps),
@@ -725,22 +738,6 @@ int cmd_audit(std::vector<std::string> args) {
   return result.ok() && artifacts_ok ? 0 : 1;
 }
 
-int cmd_save(const std::vector<std::string>& args) {
-  if (args.size() < 2) usage();
-  expect_at_most(args, 3);
-  const double eps = arg_positive_double(args, 2, 0.5, "eps");
-  Stack stack(load_graph(args[0]), eps);
-  const std::vector<std::uint8_t> bytes =
-      encode_snapshot(stack.metric, eps, stack.hierarchy, stack.naming,
-                      stack.hier, stack.sf, stack.simple, stack.sfni);
-  write_snapshot_file(args[1], bytes);
-  const auto sections = snapshot_directory(bytes);
-  std::printf("wrote %s: %zu bytes, %zu sections (n = %zu, eps = %.3f)\n",
-              args[1].c_str(), bytes.size(), sections.size(), stack.metric.n(),
-              eps);
-  return 0;
-}
-
 int cmd_build(std::vector<std::string> args) {
   bool stream = false;
   bool verify = false;
@@ -924,6 +921,45 @@ int cmd_load_info(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// The CLI's short scheme tokens (`serve --scheme`, `server --source` lines,
+/// `mine` output), indexed by ServeScheme.
+constexpr const char* kSchemeTokens[kNumServeSchemes] = {"hier", "sf",
+                                                         "simple", "sfni"};
+
+const char* scheme_token(ServeScheme scheme) {
+  return kSchemeTokens[static_cast<std::size_t>(scheme)];
+}
+
+bool scheme_from_token(const std::string& token, ServeScheme* scheme) {
+  for (std::size_t s = 0; s < kNumServeSchemes; ++s) {
+    if (token == kSchemeTokens[s]) {
+      *scheme = static_cast<ServeScheme>(s);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The batch `serve` and `stats` replay through one scheme of `epoch`:
+/// labeled schemes draw with `seed`, name-independent ones with `seed + 1`.
+std::vector<ServeRequest> scheme_requests(const ServerEpoch& epoch,
+                                          ServeScheme scheme,
+                                          std::uint64_t pairs,
+                                          std::uint64_t seed) {
+  const bool labeled = scheme == ServeScheme::kHierarchical ||
+                       scheme == ServeScheme::kScaleFree;
+  return make_requests(epoch.n(), pairs, labeled ? seed : seed + 1,
+                       [&](NodeId v) { return epoch.dest_key(scheme, v); });
+}
+
+/// A 64-bit fingerprint as a "0x…" JSON string: a JSON number would round
+/// through double and break exact comparison.
+std::string hex_string(std::uint64_t value) {
+  std::ostringstream hex;
+  hex << "0x" << std::hex << value;
+  return hex.str();
+}
+
 /// The stats JSON document: the merged scrape of every worker shard plus
 /// enough context (worker/shard counts) to interpret it.
 obs::JsonValue scrape_to_json_doc() {
@@ -975,8 +1011,8 @@ int cmd_serve(std::vector<std::string> args) {
     usage();
   }
   const bool all = scheme_sel == "all";
-  if (!all && scheme_sel != "hier" && scheme_sel != "sf" &&
-      scheme_sel != "simple" && scheme_sel != "sfni") {
+  ServeScheme selected = ServeScheme::kHierarchical;
+  if (!all && !scheme_from_token(scheme_sel, &selected)) {
     std::fprintf(stderr, "unknown --scheme '%s'\n\n", scheme_sel.c_str());
     usage();
   }
@@ -985,24 +1021,15 @@ int cmd_serve(std::vector<std::string> args) {
   preregister_build_metrics();
   if (!trace_out_path.empty()) obs::SpanCollector::global().enable(true);
 
-  const std::vector<std::uint8_t> bytes = read_snapshot_file(args[0]);
-  const SnapshotStack stack = decode_snapshot(bytes);
-  // One hop arena shared by every scheme served below (one slab set, up to
-  // four steppers riding it).
-  const std::shared_ptr<const HopArena> arena = stack.build_arena();
+  const std::shared_ptr<ServerEpoch> epoch =
+      ServerEpoch::load(args[0], true, 0);
+  const SnapshotStack& stack = epoch->stack();
   std::printf("serve: %s (n = %zu, eps = %.3g), %llu pairs/scheme, seed %llu, "
               "workers = %zu, arena %zu bytes\n\n",
               args[0].c_str(), stack.n, stack.epsilon,
               static_cast<unsigned long long>(pairs),
               static_cast<unsigned long long>(seed),
-              Executor::global().workers(), arena->memory_bytes());
-
-  const auto labeled = make_requests(stack.n, pairs, seed, [&](NodeId v) {
-    return std::uint64_t{stack.hierarchy->leaf_label(v)};
-  });
-  const auto named = make_requests(stack.n, pairs, seed + 1, [&](NodeId v) {
-    return stack.naming->name_of(v);
-  });
+              Executor::global().workers(), epoch->load_info().arena_bytes);
 
   obs::JsonValue doc = obs::JsonValue::object();
   doc["bench"] = std::string("serving");
@@ -1021,9 +1048,11 @@ int cmd_serve(std::vector<std::string> args) {
   // trace stays viewer-sized no matter how large the batch is.
   serve_options.span_sample_every =
       trace_out_path.empty() ? 0 : std::max<std::size_t>(1, pairs / 64);
-  const auto run = [&](const HopScheme& hop,
-                       const std::vector<ServeRequest>& requests) {
-    const ServeStats s = serve_batch(stack.csr, hop, requests, serve_options);
+  const auto run = [&](ServeScheme scheme) {
+    const HopScheme& hop = epoch->hop(scheme);
+    const ServeStats s = serve_batch(
+        stack.csr, hop, scheme_requests(*epoch, scheme, pairs, seed),
+        serve_options);
     std::printf("%-26s %12.0f %9.2f %9.2f %9.2f %9.2f %10.2f\n",
                 hop.name().c_str(), s.routes_per_sec, s.p50_us, s.p90_us,
                 s.p99_us, s.p999_us,
@@ -1041,35 +1070,24 @@ int cmd_serve(std::vector<std::string> args) {
     entry["p99_us"] = s.p99_us;
     entry["p999_us"] = s.p999_us;
     entry["max_us"] = s.max_us;
-    entry["fingerprint"] = s.fingerprint;
+    entry["fingerprint"] = hex_string(s.fingerprint);
     doc["schemes"].push_back(std::move(entry));
   };
   // A subset snapshot (crtool build --schemes light) loads the missing
-  // schemes as null: under `all` they are skipped with a note, but asking for
-  // one by name is an error — the snapshot cannot answer that request.
-  const auto require = [&](const char* flag, const void* scheme) {
-    if (scheme != nullptr) return true;
-    if (!all) {
+  // schemes as absent: under `all` they are skipped with a note, but asking
+  // for one by name is an error — the snapshot cannot answer that request.
+  for (std::size_t k = 0; k < kNumServeSchemes; ++k) {
+    const ServeScheme scheme = static_cast<ServeScheme>(k);
+    if (!all && scheme != selected) continue;
+    if (epoch->has(scheme)) {
+      run(scheme);
+    } else if (all) {
+      std::printf("%-26s %12s\n", scheme_token(scheme), "(absent)");
+    } else {
       std::fprintf(stderr, "snapshot has no %s section (subset snapshot)\n",
-                   flag);
-      std::exit(1);
+                   scheme_token(scheme));
+      return 1;
     }
-    std::printf("%-26s %12s\n", flag, "(absent)");
-    return false;
-  };
-  if ((all || scheme_sel == "hier") && require("hier", stack.hier.get())) {
-    run(HierarchicalHopScheme(*stack.hier, arena), labeled);
-  }
-  if ((all || scheme_sel == "sf") && require("sf", stack.sf.get())) {
-    run(ScaleFreeHopScheme(*stack.sf, arena), labeled);
-  }
-  if ((all || scheme_sel == "simple") && require("simple", stack.simple.get())) {
-    run(SimpleNameIndependentHopScheme(*stack.simple, *stack.hier, arena),
-        named);
-  }
-  if ((all || scheme_sel == "sfni") && require("sfni", stack.sfni.get())) {
-    run(ScaleFreeNameIndependentHopScheme(*stack.sfni, *stack.sf, arena),
-        named);
   }
 
   bool artifacts_ok = true;
@@ -1095,39 +1113,32 @@ int cmd_serve(std::vector<std::string> args) {
 
   // --audit: the acceptance gate. Rebuild the whole stack fresh from the
   // snapshot's own graph (same naming, same ε clamp the builders use) and
-  // require every scheme's serve fingerprint to match the loaded one, then
+  // require every scheme's serve fingerprint to match the epoch's, then
   // prove the container rejects a battery of truncations and bit flips.
   std::printf("\naudit: rebuilding fresh stack from the snapshot graph...\n");
-  const MetricSpace metric(stack.graph, g_metric_options);
-  const NetHierarchy hierarchy(metric);
-  const Naming naming(*stack.naming);
-  const double eps_labeled = std::min(stack.epsilon, 0.5);
-  const HierarchicalLabeledScheme hier(metric, hierarchy, eps_labeled);
-  const ScaleFreeLabeledScheme sf(metric, hierarchy, eps_labeled);
-  const SimpleNameIndependentScheme simple(metric, hierarchy, naming, hier,
-                                           stack.epsilon);
-  const ScaleFreeNameIndependentScheme sfni(metric, hierarchy, naming, sf,
-                                            stack.epsilon);
-
+  const Stack rebuilt(stack.graph, stack.epsilon, stack.naming.get());
   const std::size_t audit_pairs =
       std::min<std::size_t>(static_cast<std::size_t>(pairs), 512);
-  const audit::ServeFingerprints fresh =
-      audit::serve_fingerprints(metric.csr(), hierarchy, naming, hier, sf,
-                                simple, sfni, audit_pairs, seed);
-  const audit::ServeFingerprints loaded =
-      audit::serve_fingerprints(stack, audit_pairs, seed);
-
+  const audit::ServeFingerprints fresh = audit::serve_fingerprints(
+      rebuilt.metric.csr(), rebuilt.hierarchy, rebuilt.naming, rebuilt.hier,
+      rebuilt.sf, rebuilt.simple, rebuilt.sfni, audit_pairs, seed);
+  const std::uint64_t fresh_by_scheme[kNumServeSchemes] = {
+      fresh.hier, fresh.scale_free, fresh.simple, fresh.scale_free_ni};
+  ServeOptions fp_only;
+  fp_only.collect_latencies = false;
   audit::Report report;
-  const auto expect_fp = [&](const char* scheme, std::uint64_t a,
-                             std::uint64_t b) {
-    report.expect(a == b, "serve", "loaded fingerprint matches fresh build",
-                  scheme);
-  };
-  expect_fp("labeled/hierarchical", fresh.hier, loaded.hier);
-  expect_fp("labeled/scale-free", fresh.scale_free, loaded.scale_free);
-  expect_fp("ni/simple", fresh.simple, loaded.simple);
-  expect_fp("ni/scale-free", fresh.scale_free_ni, loaded.scale_free_ni);
-  report.merge(audit::audit_snapshot_corruption(bytes, audit::Options{}));
+  for (std::size_t k = 0; k < kNumServeSchemes; ++k) {
+    const ServeScheme scheme = static_cast<ServeScheme>(k);
+    const std::uint64_t loaded =
+        serve_batch(stack.csr, epoch->hop(scheme),
+                    scheme_requests(*epoch, scheme, audit_pairs, seed), fp_only)
+            .fingerprint;
+    report.expect(loaded == fresh_by_scheme[k], "serve",
+                  "loaded fingerprint matches fresh build",
+                  serve_scheme_name(scheme));
+  }
+  report.merge(audit::audit_snapshot_corruption(read_snapshot_file(args[0]),
+                                                audit::Options{}));
 
   std::printf("audit: %zu checks, %zu issues\n", report.checks,
               report.issues.size());
@@ -1283,15 +1294,7 @@ int cmd_server(std::vector<std::string> args) {
       ServerRequest request;
       request.src = static_cast<NodeId>(src);
       request.dest = static_cast<NodeId>(dest);
-      if (scheme == "hier") {
-        request.scheme = ServeScheme::kHierarchical;
-      } else if (scheme == "sf") {
-        request.scheme = ServeScheme::kScaleFree;
-      } else if (scheme == "simple") {
-        request.scheme = ServeScheme::kSimpleNi;
-      } else if (scheme == "sfni") {
-        request.scheme = ServeScheme::kScaleFreeNi;
-      } else {
+      if (!scheme_from_token(scheme, &request.scheme)) {
         std::fprintf(stderr, "unknown scheme '%s' in request line: %s\n",
                      scheme.c_str(), line.c_str());
         return 1;
@@ -1379,14 +1382,7 @@ int cmd_server(std::vector<std::string> args) {
     epochs_seen.insert(r.epoch);
   }
   std::sort(latencies.begin(), latencies.end());
-  const auto pct = [&](double q) {
-    if (latencies.empty()) return 0.0;
-    const double rank = q * static_cast<double>(latencies.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, latencies.size() - 1);
-    return latencies[lo] + (latencies[hi] - latencies[lo]) *
-                               (rank - static_cast<double>(lo));
-  };
+  const auto pct = [&](double q) { return sorted_percentile(latencies, q); };
   const std::uint64_t digest = Server::delivered_digest(results);
   const double routes_per_sec =
       elapsed_s > 0 ? static_cast<double>(counters.served) / elapsed_s : 0;
@@ -1436,11 +1432,7 @@ int cmd_server(std::vector<std::string> args) {
     doc["p50_us"] = pct(0.50);
     doc["p99_us"] = pct(0.99);
     doc["p999_us"] = pct(0.999);
-    // Hex string: a 64-bit digest emitted as a JSON number would round
-    // through double and break exact comparison (the CI fingerprint gate).
-    std::ostringstream hex;
-    hex << "0x" << std::hex << digest;
-    doc["digest"] = hex.str();
+    doc["digest"] = hex_string(digest);
     artifacts_ok &= write_output_file(out_path, doc.dump(2) + "\n");
   }
   if (!obs_out_path.empty()) {
@@ -1483,27 +1475,18 @@ int cmd_mine(std::vector<std::string> args) {
 
   // `server --source` replay format: "src dest scheme" per line, the scheme
   // as its short token; the mined stretch rides in a trailing comment.
-  const auto token = [](ServeScheme scheme) {
-    switch (scheme) {
-      case ServeScheme::kHierarchical: return "hier";
-      case ServeScheme::kScaleFree: return "sf";
-      case ServeScheme::kSimpleNi: return "simple";
-      case ServeScheme::kScaleFreeNi: return "sfni";
-    }
-    return "hier";
-  };
   std::ostringstream body;
   body << "# crtool mine: " << mined.size() << " worst-stretch pairs of "
        << args[0] << " (samples " << options.samples << "/scheme, seed "
        << options.seed << ", eps " << eps << ")\n";
   for (const audit::MinedPair& pair : mined) {
     body << pair.request.src << ' ' << pair.request.dest << ' '
-         << token(pair.request.scheme) << "   # stretch " << pair.stretch
-         << '\n';
+         << scheme_token(pair.request.scheme) << "   # stretch "
+         << pair.stretch << '\n';
   }
   if (!write_output_file(args[1], body.str())) return 1;
   std::printf("worst stretch %.3f (%s %u -> %u), %zu pairs kept\n",
-              mined.front().stretch, token(mined.front().request.scheme),
+              mined.front().stretch, scheme_token(mined.front().request.scheme),
               mined.front().request.src, mined.front().request.dest,
               mined.size());
   return 0;
@@ -1542,32 +1525,15 @@ int cmd_stats(std::vector<std::string> args) {
   preregister_serving_metrics();
   preregister_build_metrics();
   if (!args.empty()) {
-    // Populate the registry by serving a batch per scheme from the snapshot
-    // (quietly; `crtool serve` is the verbose form).
-    const std::vector<std::uint8_t> bytes = read_snapshot_file(args[0]);
-    const SnapshotStack stack = decode_snapshot(bytes);
-    const auto labeled = make_requests(stack.n, pairs, seed, [&](NodeId v) {
-      return std::uint64_t{stack.hierarchy->leaf_label(v)};
-    });
-    const auto named = make_requests(stack.n, pairs, seed + 1, [&](NodeId v) {
-      return stack.naming->name_of(v);
-    });
-    // Subset snapshots carry null schemes; scrape whatever is present.
-    if (stack.hier) {
-      serve_batch(stack.csr, HierarchicalHopScheme(*stack.hier), labeled);
-    }
-    if (stack.sf) {
-      serve_batch(stack.csr, ScaleFreeHopScheme(*stack.sf), labeled);
-    }
-    if (stack.simple) {
-      serve_batch(stack.csr,
-                  SimpleNameIndependentHopScheme(*stack.simple, *stack.hier),
-                  named);
-    }
-    if (stack.sfni) {
-      serve_batch(stack.csr,
-                  ScaleFreeNameIndependentHopScheme(*stack.sfni, *stack.sf),
-                  named);
+    // Populate the registry by serving a batch per present scheme from the
+    // snapshot (quietly; `crtool serve` is the verbose form).
+    const std::shared_ptr<ServerEpoch> epoch =
+        ServerEpoch::load(args[0], true, 0);
+    for (std::size_t k = 0; k < kNumServeSchemes; ++k) {
+      const ServeScheme scheme = static_cast<ServeScheme>(k);
+      if (!epoch->has(scheme)) continue;
+      serve_batch(epoch->stack().csr, epoch->hop(scheme),
+                  scheme_requests(*epoch, scheme, pairs, seed));
     }
   }
 
@@ -1652,7 +1618,6 @@ int main(int argc, char** argv) {
     if (command == "eval") return cmd_eval(args);
     if (command == "trace") return cmd_trace(args);
     if (command == "audit") return cmd_audit(args);
-    if (command == "save") return cmd_save(args);
     if (command == "build") return cmd_build(args);
     if (command == "load-info") return cmd_load_info(args);
     if (command == "serve") return cmd_serve(args);
