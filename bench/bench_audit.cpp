@@ -34,32 +34,22 @@ int main() {
   for (const std::string& family : audit::campaign_families()) {
     const Graph graph = audit::make_campaign_instance(family, 256, 1);
     const auto build_start = std::chrono::steady_clock::now();
-    const MetricSpace metric(graph);
-    const NetHierarchy hierarchy(metric);
-    const Naming naming = Naming::random(metric.n(), 4242);
-    const HierarchicalLabeledScheme hier(metric, hierarchy, 0.5);
-    const ScaleFreeLabeledScheme sf(metric, hierarchy, 0.5);
-    const SimpleNameIndependentScheme simple(metric, hierarchy, naming, hier,
-                                             0.5);
-    const ScaleFreeNameIndependentScheme sfni(metric, hierarchy, naming, sf,
-                                              0.5);
+    const SnapshotStack stack = build_stack(graph, 0.5);
     const double build_ms = elapsed_ms(build_start);
 
     const auto audit_start = std::chrono::steady_clock::now();
-    const audit::Report report =
-        audit::audit_all(metric, hierarchy, naming, hier, sf, simple, sfni,
-                         0.5, audit::Options{});
+    const audit::Report report = audit::audit_all(stack, audit::Options{});
     const double audit_ms = elapsed_ms(audit_start);
     CR_CHECK_MSG(report.ok(), "audit battery found violations:\n" +
                                   report.summary());
 
     const double rate = audit_ms > 0 ? 1000.0 * report.checks / audit_ms : 0;
     std::printf("%-14s %6zu %10.1f %10.1f %12zu %12.0f\n", family.c_str(),
-                metric.n(), build_ms, audit_ms, report.checks, rate);
+                stack.n, build_ms, audit_ms, report.checks, rate);
 
     obs::JsonValue row = obs::JsonValue::object();
     row["family"] = family;
-    row["n"] = static_cast<std::uint64_t>(metric.n());
+    row["n"] = static_cast<std::uint64_t>(stack.n);
     row["build_ms"] = build_ms;
     row["audit_ms"] = audit_ms;
     row["checks"] = static_cast<std::uint64_t>(report.checks);

@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
   // rate comes from a separate submit-then-drain burst at kOverloadFactor x
   // capacity, which sheds deterministically.
   const std::size_t traffic_n = check ? 96 : 1024;
-  Graph traffic_graph = make_power_law(traffic_n, 2, kSeed);
+  const Graph traffic_graph = make_power_law(traffic_n, 2, kSeed);
   audit::MineOptions mine;
   mine.samples = check ? 200 : 1500;
   mine.keep = 64;
@@ -245,12 +245,8 @@ int main(int argc, char** argv) {
       audit::mine_worst_pairs(traffic_graph, mine);
   CR_CHECK(!mined.empty());
 
-  bench::Stack traffic_stack(std::move(traffic_graph), kEps, 4242, rowfree);
-  traffic_stack.build_name_independent();
-  const std::vector<std::uint8_t> bytes = encode_snapshot(
-      traffic_stack.metric, kEps, traffic_stack.hierarchy, traffic_stack.naming,
-      *traffic_stack.hier_labeled, *traffic_stack.sf_labeled,
-      *traffic_stack.simple_ni, *traffic_stack.sf_ni);
+  const std::vector<std::uint8_t> bytes =
+      encode_snapshot(build_stack(traffic_graph, kEps, rowfree));
 
   ServerOptions sopt;
   sopt.queue_depth = 256;

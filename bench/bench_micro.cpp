@@ -11,6 +11,7 @@
 #include "gen/generators.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/metric.hpp"
+#include "io/snapshot.hpp"
 #include "labeled/hierarchical_labeled.hpp"
 #include "labeled/scale_free_labeled.hpp"
 #include "nameind/scale_free_nameind.hpp"
@@ -131,26 +132,14 @@ BENCHMARK(BM_ScaleFreeLabeledBuild)->Arg(128)->Arg(256)->Unit(benchmark::kMillis
 // snapshot-loaded epoch compiles it.
 struct ServedStack {
   explicit ServedStack(std::size_t n)
-      : metric(shared_metric(n)),
-        hierarchy(shared_hierarchy(n)),
-        naming(Naming::random(metric.n(), 6)),
-        hier(metric, hierarchy, 0.5),
-        sf(metric, hierarchy, 0.5),
-        simple(metric, hierarchy, naming, hier, 0.5),
-        sfni(metric, hierarchy, naming, sf, 0.5),
-        arena(HopArena::build(hierarchy, &naming, &hier, &sf, &simple, &sfni)),
-        hier_hop(hier, arena),
-        sf_hop(sf, arena),
-        simple_hop(simple, hier, arena),
-        sfni_hop(sfni, sf, arena) {}
+      : stack(build_stack(shared_graph(n), 0.5, {}, Naming::random(n, 6))),
+        arena(stack.build_arena()),
+        hier_hop(*stack.hier, arena),
+        sf_hop(*stack.sf, arena),
+        simple_hop(*stack.simple, *stack.hier, arena),
+        sfni_hop(*stack.sfni, *stack.sf, arena) {}
 
-  const MetricSpace& metric;
-  const NetHierarchy& hierarchy;
-  Naming naming;
-  HierarchicalLabeledScheme hier;
-  ScaleFreeLabeledScheme sf;
-  SimpleNameIndependentScheme simple;
-  ScaleFreeNameIndependentScheme sfni;
+  SnapshotStack stack;
   std::shared_ptr<const HopArena> arena;
   HierarchicalHopScheme hier_hop;
   ScaleFreeHopScheme sf_hop;
@@ -179,7 +168,7 @@ std::size_t walk(const HopScheme& scheme, NodeId src, std::uint64_t key) {
 template <typename KeyOf>
 void run_served(benchmark::State& state, const HopScheme& scheme,
                 std::uint64_t seed, const KeyOf& key_of) {
-  const std::size_t n = served_stack().metric.n();
+  const std::size_t n = served_stack().stack.n;
   Prng prng(seed);
   std::size_t hops = 0;
   for (auto _ : state) {
@@ -192,9 +181,11 @@ void run_served(benchmark::State& state, const HopScheme& scheme,
 }
 
 std::uint64_t label_key(NodeId v) {
-  return served_stack().hierarchy.leaf_label(v);
+  return served_stack().stack.hierarchy->leaf_label(v);
 }
-std::uint64_t name_key(NodeId v) { return served_stack().naming.name_of(v); }
+std::uint64_t name_key(NodeId v) {
+  return served_stack().stack.naming->name_of(v);
+}
 
 void BM_ServedHierarchicalLabeledRoute(benchmark::State& state) {
   run_served(state, served_stack().hier_hop, 1, label_key);

@@ -88,14 +88,11 @@ int main(int argc, char** argv) {
               "%zu workers, %zu pairs/scheme\n\n",
               graph_name, rows * cols, kEps, kWorkers, kPairs);
 
-  bench::Stack stack(make_grid(rows, cols), kEps);
-  stack.build_name_independent();
-  const std::size_t n = stack.metric.n();
+  const SnapshotStack stack = build_stack(make_grid(rows, cols), kEps);
+  const std::size_t n = stack.n;
 
   auto start = std::chrono::steady_clock::now();
-  const std::vector<std::uint8_t> bytes = encode_snapshot(
-      stack.metric, kEps, stack.hierarchy, stack.naming, *stack.hier_labeled,
-      *stack.sf_labeled, *stack.simple_ni, *stack.sf_ni);
+  const std::vector<std::uint8_t> bytes = encode_snapshot(stack);
   const double encode_ms = elapsed_ms(start);
 
   start = std::chrono::steady_clock::now();
@@ -154,7 +151,7 @@ int main(int argc, char** argv) {
     ServeOptions fp_only;
     fp_only.collect_latencies = false;
     const ServeStats fresh =
-        serve_batch(stack.metric.csr(), fresh_hop, requests, fp_only);
+        serve_batch(stack.csr, fresh_hop, requests, fp_only);
     CR_CHECK_MSG(fresh.fingerprint == s.fingerprint,
                  "loaded arena fingerprint diverges from fresh build");
 
@@ -188,12 +185,12 @@ int main(int argc, char** argv) {
     doc["schemes"].push_back(std::move(entry));
   };
 
-  run(ServeScheme::kHierarchical, HierarchicalHopScheme(*stack.hier_labeled));
-  run(ServeScheme::kScaleFree, ScaleFreeHopScheme(*stack.sf_labeled));
+  run(ServeScheme::kHierarchical, HierarchicalHopScheme(*stack.hier));
+  run(ServeScheme::kScaleFree, ScaleFreeHopScheme(*stack.sf));
   run(ServeScheme::kSimpleNi,
-      SimpleNameIndependentHopScheme(*stack.simple_ni, *stack.hier_labeled));
+      SimpleNameIndependentHopScheme(*stack.simple, *stack.hier));
   run(ServeScheme::kScaleFreeNi,
-      ScaleFreeNameIndependentHopScheme(*stack.sf_ni, *stack.sf_labeled));
+      ScaleFreeNameIndependentHopScheme(*stack.sfni, *stack.sf));
 
   const bool target_met = headline_routes_per_sec >= kHeadlineRoutesPerSec;
   const bool ni_target_met = ni_min_routes_per_sec >= kNiRoutesPerSec;

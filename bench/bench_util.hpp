@@ -12,6 +12,7 @@
 #include "core/bits.hpp"
 #include "gen/generators.hpp"
 #include "graph/metric.hpp"
+#include "io/snapshot.hpp"
 #include "labeled/hierarchical_labeled.hpp"
 #include "labeled/scale_free_labeled.hpp"
 #include "nameind/scale_free_nameind.hpp"
@@ -46,9 +47,9 @@ struct Stack {
   void build_labeled() {
     if (!hier_labeled) {
       hier_labeled = std::make_unique<HierarchicalLabeledScheme>(
-          metric, hierarchy, std::min(epsilon, 0.5));
-      sf_labeled = std::make_unique<ScaleFreeLabeledScheme>(metric, hierarchy,
-                                                            std::min(epsilon, 0.5));
+          metric, hierarchy, labeled_epsilon(epsilon));
+      sf_labeled = std::make_unique<ScaleFreeLabeledScheme>(
+          metric, hierarchy, labeled_epsilon(epsilon));
     }
   }
 

@@ -12,13 +12,7 @@
 
 #include "core/bits.hpp"
 #include "gen/generators.hpp"
-#include "graph/metric.hpp"
-#include "labeled/hierarchical_labeled.hpp"
-#include "labeled/scale_free_labeled.hpp"
-#include "nameind/scale_free_nameind.hpp"
-#include "nameind/simple_nameind.hpp"
-#include "nets/rnet.hpp"
-#include "routing/naming.hpp"
+#include "io/snapshot.hpp"
 #include "routing/simulator.hpp"
 
 using namespace compactroute;
@@ -49,21 +43,13 @@ int main() {
        std::vector<std::pair<std::size_t, std::size_t>>{
            {5, 12}, {10, 6}, {15, 4}, {20, 3}, {30, 2}}) {
     const Graph graph = make_exponential_spider(arms, len);
-    const MetricSpace metric(graph);
-    const NetHierarchy hierarchy(metric);
-    const Naming naming = Naming::random(metric.n(), 3);
-    const HierarchicalLabeledScheme hier(metric, hierarchy, epsilon);
-    const ScaleFreeLabeledScheme sf(metric, hierarchy, epsilon);
-    const SimpleNameIndependentScheme simple(metric, hierarchy, naming, hier,
-                                             epsilon);
-    const ScaleFreeNameIndependentScheme sfni(metric, hierarchy, naming, sf,
-                                              epsilon);
+    const SnapshotStack s =
+        build_stack(graph, epsilon, {}, Naming::random(graph.num_nodes(), 3));
     std::printf("%6zu %10.1f | %12.0f %12.0f | %12.0f %12.0f\n", arms,
-                std::log2(metric.delta()),
-                storage_of_labeled(hier, metric.n()).avg_bits,
-                storage_of_labeled(sf, metric.n()).avg_bits,
-                storage_of_ni(simple, metric.n()).avg_bits,
-                storage_of_ni(sfni, metric.n()).avg_bits);
+                std::log2(s.delta), storage_of_labeled(*s.hier, s.n).avg_bits,
+                storage_of_labeled(*s.sf, s.n).avg_bits,
+                storage_of_ni(*s.simple, s.n).avg_bits,
+                storage_of_ni(*s.sfni, s.n).avg_bits);
   }
   std::printf("\nThe Lem 3.1 / Thm 1.4 columns track logDelta; the Thm 1.2 / "
               "1.1 columns stay flat.\n");

@@ -865,12 +865,18 @@ Report audit_ring_tables(const MetricSpace& metric, const HierarchyView& view,
 // audit_all — the whole battery
 // ---------------------------------------------------------------------------
 
-Report audit_all(const MetricSpace& metric, const NetHierarchy& hierarchy,
-                 const Naming& naming, const HierarchicalLabeledScheme& hier,
-                 const ScaleFreeLabeledScheme& scale_free,
-                 const SimpleNameIndependentScheme& simple,
-                 const ScaleFreeNameIndependentScheme& scale_free_ni,
-                 double epsilon, const Options& options) {
+Report audit_all(const SnapshotStack& stack, const Options& options) {
+  CR_CHECK_MSG(stack.metric && stack.hier && stack.sf && stack.simple &&
+                   stack.sfni,
+               "audit_all needs a fresh four-scheme stack (build_stack)");
+  const MetricSpace& metric = *stack.metric;
+  const NetHierarchy& hierarchy = *stack.hierarchy;
+  const Naming& naming = *stack.naming;
+  const HierarchicalLabeledScheme& hier = *stack.hier;
+  const ScaleFreeLabeledScheme& scale_free = *stack.sf;
+  const SimpleNameIndependentScheme& simple = *stack.simple;
+  const ScaleFreeNameIndependentScheme& scale_free_ni = *stack.sfni;
+  const double epsilon = stack.epsilon;
   Report report;
   const HierarchyView view = HierarchyView::of(hierarchy);
   report.merge(audit_rnet(metric, view, options));

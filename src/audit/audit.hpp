@@ -30,6 +30,7 @@
 
 #include "core/types.hpp"
 #include "graph/metric.hpp"
+#include "io/snapshot.hpp"
 #include "nets/ball_packing.hpp"
 #include "nets/rnet.hpp"
 #include "routing/naming.hpp"
@@ -189,15 +190,10 @@ Report audit_ring_tables(const MetricSpace& metric, const HierarchyView& view,
                          const ScaleFreeLabeledScheme& scale_free,
                          const Options& options);
 
-/// The whole battery over a fully built stack: all structural auditors plus
-/// codec, runtime (all four hop schemes) and stretch
-/// certificates (all four schemes).
-Report audit_all(const MetricSpace& metric, const NetHierarchy& hierarchy,
-                 const Naming& naming, const HierarchicalLabeledScheme& hier,
-                 const ScaleFreeLabeledScheme& scale_free,
-                 const SimpleNameIndependentScheme& simple,
-                 const ScaleFreeNameIndependentScheme& scale_free_ni,
-                 double epsilon, const Options& options);
+/// The whole battery over a freshly built four-scheme stack (build_stack):
+/// all structural auditors plus codec, runtime (all four hop schemes) and
+/// stretch certificates (all four schemes, against the stack's ε).
+Report audit_all(const SnapshotStack& stack, const Options& options);
 
 }  // namespace audit
 }  // namespace compactroute

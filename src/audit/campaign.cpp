@@ -115,16 +115,23 @@ Report run_audit_case(const CampaignCase& config, const Options& audit_options,
   const WorkerGuard workers(config.workers);
   MetricOptions metric_options;
   metric_options.backend = config.backend;
-  const MetricSpace metric(graph, metric_options);
-  const NetHierarchy hierarchy(metric);
-
   Options opts = audit_options;
   opts.seed = Prng::split(audit_options.seed, config.seed).next_u64();
-  const double eps = std::min(config.epsilon, 0.5);
+  if (inject == Inject::kNone) {
+    return audit_all(
+        build_stack(graph, config.epsilon, metric_options,
+                    Naming::random(graph.num_nodes(),
+                                   kStackNamingSeed + config.seed)),
+        opts);
+  }
+
+  const MetricSpace metric(graph, metric_options);
+  const NetHierarchy hierarchy(metric);
+  const double eps = labeled_epsilon(config.epsilon);
 
   switch (inject) {
     case Inject::kNone:
-      break;
+      break;  // audited above
     case Inject::kDropNetPoint: {
       // The root lives in every Y_i; dropping it from the Y_{top-1} view
       // breaks nestedness (and, at top-1 == 0, Y_0 = V as well) — a defect
@@ -175,16 +182,7 @@ Report run_audit_case(const CampaignCase& config, const Options& audit_options,
     }
   }
 
-  const Naming naming =
-      Naming::random(metric.n(), 4242 + config.seed);
-  const HierarchicalLabeledScheme hier(metric, hierarchy, eps);
-  const ScaleFreeLabeledScheme scale_free(metric, hierarchy, eps);
-  const SimpleNameIndependentScheme simple(metric, hierarchy, naming, hier,
-                                           config.epsilon);
-  const ScaleFreeNameIndependentScheme scale_free_ni(metric, hierarchy, naming,
-                                                     scale_free, config.epsilon);
-  return audit_all(metric, hierarchy, naming, hier, scale_free, simple,
-                   scale_free_ni, config.epsilon, opts);
+  return Report{};
 }
 
 namespace {
@@ -421,26 +419,22 @@ std::vector<MinedPair> mine_worst_pairs(const Graph& graph,
   CR_CHECK(options.samples >= 1 && options.keep >= 1);
   MetricOptions metric_options;
   metric_options.backend = options.backend;
-  const MetricSpace metric(graph, metric_options);
-  const NetHierarchy hierarchy(metric);
-  const Naming naming = Naming::random(metric.n(), 4242);
-  const double eps_labeled = std::min(options.epsilon, 0.5);
-  const HierarchicalLabeledScheme hier(metric, hierarchy, eps_labeled);
-  const ScaleFreeLabeledScheme sf(metric, hierarchy, eps_labeled);
-  const SimpleNameIndependentScheme simple(metric, hierarchy, naming, hier,
-                                           options.epsilon);
-  const ScaleFreeNameIndependentScheme sfni(metric, hierarchy, naming, sf,
-                                            options.epsilon);
+  const SnapshotStack stack =
+      build_stack(graph, options.epsilon, metric_options);
+  const MetricSpace& metric = *stack.metric;
+  const Naming& naming = *stack.naming;
 
   const std::size_t n = metric.n();
   const auto route_for = [&](ServeScheme scheme, NodeId src, NodeId dst) {
     switch (scheme) {
-      case ServeScheme::kHierarchical: return hier.route(src, hier.label(dst));
-      case ServeScheme::kScaleFree: return sf.route(src, sf.label(dst));
+      case ServeScheme::kHierarchical:
+        return stack.hier->route(src, stack.hier->label(dst));
+      case ServeScheme::kScaleFree:
+        return stack.sf->route(src, stack.sf->label(dst));
       case ServeScheme::kSimpleNi:
-        return simple.route(src, naming.name_of(dst));
+        return stack.simple->route(src, naming.name_of(dst));
       case ServeScheme::kScaleFreeNi:
-        return sfni.route(src, naming.name_of(dst));
+        return stack.sfni->route(src, naming.name_of(dst));
     }
     CR_CHECK_MSG(false, "unknown serve scheme");
     return RouteResult{};

@@ -112,52 +112,43 @@ Report run_corruption_battery(const std::vector<std::uint8_t>& bytes,
 
 }  // namespace
 
-ServeFingerprints serve_fingerprints(
-    const CsrGraph& csr, const NetHierarchy& hierarchy, const Naming& naming,
-    const HierarchicalLabeledScheme& hier, const ScaleFreeLabeledScheme& sf,
-    const SimpleNameIndependentScheme& simple,
-    const ScaleFreeNameIndependentScheme& sfni, std::size_t requests,
-    std::uint64_t seed) {
-  const std::size_t n = csr.num_nodes();
-  const auto labeled = make_requests(
-      n, requests, seed,
-      [&](NodeId v) { return std::uint64_t{hierarchy.leaf_label(v)}; });
-  const auto named = make_requests(
-      n, requests, seed + 1, [&](NodeId v) { return naming.name_of(v); });
+ServeFingerprints serve_fingerprints(const SnapshotStack& stack,
+                                     std::size_t requests,
+                                     std::uint64_t seed) {
+  CR_CHECK_MSG(stack.hier && stack.sf && stack.simple && stack.sfni,
+               "serve fingerprints need all four schemes");
+  const CsrGraph& csr = stack.csr;
+  const auto labeled = make_requests(stack.n, requests, seed, [&](NodeId v) {
+    return std::uint64_t{stack.hierarchy->leaf_label(v)};
+  });
+  const auto named = make_requests(stack.n, requests, seed + 1, [&](NodeId v) {
+    return stack.naming->name_of(v);
+  });
 
   ServeOptions options;
   options.collect_latencies = false;  // fingerprints only
 
   // One arena for all four steppers — compiled once, not per scheme.
-  const std::shared_ptr<const HopArena> arena =
-      HopArena::build(hierarchy, &naming, &hier, &sf, &simple, &sfni);
+  const std::shared_ptr<const HopArena> arena = stack.build_arena();
 
   ServeFingerprints fps;
   {
-    HierarchicalHopScheme hop(hier, arena);
+    HierarchicalHopScheme hop(*stack.hier, arena);
     fps.hier = serve_batch(csr, hop, labeled, options).fingerprint;
   }
   {
-    ScaleFreeHopScheme hop(sf, arena);
+    ScaleFreeHopScheme hop(*stack.sf, arena);
     fps.scale_free = serve_batch(csr, hop, labeled, options).fingerprint;
   }
   {
-    SimpleNameIndependentHopScheme hop(simple, hier, arena);
+    SimpleNameIndependentHopScheme hop(*stack.simple, *stack.hier, arena);
     fps.simple = serve_batch(csr, hop, named, options).fingerprint;
   }
   {
-    ScaleFreeNameIndependentHopScheme hop(sfni, sf, arena);
+    ScaleFreeNameIndependentHopScheme hop(*stack.sfni, *stack.sf, arena);
     fps.scale_free_ni = serve_batch(csr, hop, named, options).fingerprint;
   }
   return fps;
-}
-
-ServeFingerprints serve_fingerprints(const SnapshotStack& stack,
-                                     std::size_t requests,
-                                     std::uint64_t seed) {
-  return serve_fingerprints(stack.csr, *stack.hierarchy, *stack.naming,
-                            *stack.hier, *stack.sf, *stack.simple, *stack.sfni,
-                            requests, seed);
 }
 
 Report audit_snapshot_corruption(const std::vector<std::uint8_t>& bytes,
@@ -181,20 +172,12 @@ Report audit_snapshot_corruption_mmap(const std::vector<std::uint8_t>& bytes,
   return report;
 }
 
-Report audit_snapshot_roundtrip(const MetricSpace& metric,
-                                const NetHierarchy& hierarchy,
-                                const Naming& naming,
-                                const HierarchicalLabeledScheme& hier,
-                                const ScaleFreeLabeledScheme& sf,
-                                const SimpleNameIndependentScheme& simple,
-                                const ScaleFreeNameIndependentScheme& sfni,
-                                double epsilon, const Options& options) {
+Report audit_snapshot_roundtrip(const SnapshotStack& original,
+                                const Options& options) {
   Report report;
 
-  const std::vector<std::uint8_t> bytes =
-      encode_snapshot(metric, epsilon, hierarchy, naming, hier, sf, simple, sfni);
-  const std::vector<std::uint8_t> again =
-      encode_snapshot(metric, epsilon, hierarchy, naming, hier, sf, simple, sfni);
+  const std::vector<std::uint8_t> bytes = encode_snapshot(original);
+  const std::vector<std::uint8_t> again = encode_snapshot(original);
   report.expect(bytes == again, kAuditor, "encode deterministic",
                 "two encodes of the same stack differ");
 
@@ -208,13 +191,13 @@ Report audit_snapshot_roundtrip(const MetricSpace& metric,
     return report;
   }
 
-  report.expect(stack.n == metric.n() && stack.epsilon == epsilon, kAuditor,
-                "meta round trip", "n/epsilon mismatch after round trip");
+  report.expect(stack.n == original.n && stack.epsilon == original.epsilon,
+                kAuditor, "meta round trip",
+                "n/epsilon mismatch after round trip");
 
   const std::size_t requests = std::max<std::size_t>(options.sample_pairs, 8);
-  const ServeFingerprints fresh = serve_fingerprints(
-      metric.csr(), hierarchy, naming, hier, sf, simple, sfni, requests,
-      options.seed);
+  const ServeFingerprints fresh =
+      serve_fingerprints(original, requests, options.seed);
   const ServeFingerprints loaded =
       serve_fingerprints(stack, requests, options.seed);
 

@@ -28,13 +28,9 @@ struct ServeFingerprints {
   std::uint64_t scale_free_ni = 0;
 };
 
-ServeFingerprints serve_fingerprints(
-    const CsrGraph& csr, const NetHierarchy& hierarchy, const Naming& naming,
-    const HierarchicalLabeledScheme& hier, const ScaleFreeLabeledScheme& sf,
-    const SimpleNameIndependentScheme& simple,
-    const ScaleFreeNameIndependentScheme& sfni, std::size_t requests,
-    std::uint64_t seed);
-
+/// The stack's hop schemes (all four must be present) over a deterministic
+/// batch: labeled schemes draw with `seed`, name-independent ones with
+/// `seed + 1`.
 ServeFingerprints serve_fingerprints(const SnapshotStack& stack,
                                      std::size_t requests, std::uint64_t seed);
 
@@ -53,16 +49,10 @@ Report audit_snapshot_corruption_mmap(const std::vector<std::uint8_t>& bytes,
                                       const std::string& scratch_path,
                                       const Options& options);
 
-/// Full round trip for a fresh stack: encode determinism, decode meta
-/// fidelity, loaded-vs-fresh serve-fingerprint equality across all four
-/// schemes, then the corruption battery.
-Report audit_snapshot_roundtrip(const MetricSpace& metric,
-                                const NetHierarchy& hierarchy,
-                                const Naming& naming,
-                                const HierarchicalLabeledScheme& hier,
-                                const ScaleFreeLabeledScheme& sf,
-                                const SimpleNameIndependentScheme& simple,
-                                const ScaleFreeNameIndependentScheme& sfni,
-                                double epsilon, const Options& options);
+/// Full round trip of a stack: encode determinism, decode meta fidelity,
+/// loaded-vs-original serve-fingerprint equality across all four schemes,
+/// then the corruption battery.
+Report audit_snapshot_roundtrip(const SnapshotStack& stack,
+                                const Options& options);
 
 }  // namespace compactroute::audit

@@ -1,8 +1,14 @@
 #include "io/snapshot.hpp"
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <unordered_map>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
+#include <unistd.h>
+#endif
 
 #include "codec/bitstream.hpp"
 #include "core/check.hpp"
@@ -590,20 +596,20 @@ namespace {
 // One builder per section, shared between the whole-stack encode_snapshot
 // and the streaming writer so both produce identical bytes.
 
-std::vector<std::uint8_t> meta_payload(const MetricSpace& metric,
-                                       double epsilon) {
+std::vector<std::uint8_t> meta_payload(std::size_t n, double epsilon,
+                                       Weight normalization_scale,
+                                       Weight delta, int num_levels) {
   BitWriter w;
-  w.write_varint(metric.n());
+  w.write_varint(n);
   put_f64(w, epsilon);
-  put_f64(w, metric.normalization_scale());
-  put_f64(w, metric.delta());
-  w.write_varint(static_cast<std::uint64_t>(metric.num_levels()));
+  put_f64(w, normalization_scale);
+  put_f64(w, delta);
+  w.write_varint(static_cast<std::uint64_t>(num_levels));
   return w.bytes();
 }
 
-std::vector<std::uint8_t> graph_payload(const MetricSpace& metric) {
-  const std::size_t n = metric.n();
-  const Graph& graph = metric.graph();
+std::vector<std::uint8_t> graph_payload(const Graph& graph) {
+  const std::size_t n = graph.num_nodes();
   BitWriter w;
   w.write_varint(n);
   for (NodeId u = 0; u < n; ++u) {
@@ -663,25 +669,43 @@ std::vector<std::uint8_t> sfni_payload(const ScaleFreeNameIndependentScheme* s,
   return w.bytes();
 }
 
-std::vector<std::uint8_t> encode_section(
-    std::uint32_t id, const MetricSpace& metric, double epsilon,
-    const NetHierarchy& hierarchy, const Naming& naming,
-    const HierarchicalLabeledScheme& hier, const ScaleFreeLabeledScheme& sf,
-    const SimpleNameIndependentScheme& simple,
-    const ScaleFreeNameIndependentScheme& sfni) {
-  const std::size_t n = metric.n();
-  switch (id) {
-    case kSectionMeta: return meta_payload(metric, epsilon);
-    case kSectionGraph: return graph_payload(metric);
-    case kSectionHierarchy: return hierarchy_payload(hierarchy, n);
-    case kSectionNaming: return naming_payload(naming, n);
-    case kSectionHier: return hier_payload(&hier, n);
-    case kSectionScaleFree: return scale_free_payload(&sf, n);
-    case kSectionSimple: return simple_payload(&simple);
-    case kSectionSfni: return sfni_payload(&sfni, n);
+/// The container header for `sections` (magic, version, count, directory
+/// CRC, then the directory itself); the payloads follow it in order.
+std::vector<std::uint8_t> container_header(
+    const std::vector<SnapshotSection>& sections) {
+  std::vector<std::uint8_t> directory;
+  directory.reserve(sections.size() * kEntryBytes);
+  for (const SnapshotSection& section : sections) {
+    append_u32(directory, section.id);
+    append_u64(directory, section.offset);
+    append_u64(directory, section.size);
+    append_u32(directory, section.crc);
   }
-  CR_CHECK_MSG(false, "unknown section id");
-  return {};
+  std::vector<std::uint8_t> header(kMagic, kMagic + 8);
+  header.reserve(kHeaderBytes + directory.size());
+  append_u32(header, kFormatVersion);
+  append_u32(header, static_cast<std::uint32_t>(sections.size()));
+  append_u32(header, snapshot_crc32(directory.data(), directory.size()));
+  header.insert(header.end(), directory.begin(), directory.end());
+  return header;
+}
+
+/// Flushes the finished temporary `tmp` to stable storage and renames it over
+/// `path`. Readers of the old file, mappings included, keep its inode.
+void commit_file(const std::string& tmp, const std::string& path) {
+#if defined(__unix__) || defined(__APPLE__)
+  const int fd = ::open(tmp.c_str(), O_RDONLY);
+  const bool synced = fd >= 0 && ::fsync(fd) == 0;
+  if (fd >= 0) ::close(fd);
+  if (!synced) {
+    std::remove(tmp.c_str());
+    throw SnapshotError("cannot fsync " + tmp);
+  }
+#endif
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw SnapshotError("cannot rename " + tmp + " to " + path);
+  }
 }
 
 }  // namespace
@@ -704,37 +728,32 @@ std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-std::vector<std::uint8_t> encode_snapshot(
-    const MetricSpace& metric, double epsilon, const NetHierarchy& hierarchy,
-    const Naming& naming, const HierarchicalLabeledScheme& hier,
-    const ScaleFreeLabeledScheme& sf, const SimpleNameIndependentScheme& simple,
-    const ScaleFreeNameIndependentScheme& sfni) {
-  std::vector<std::vector<std::uint8_t>> payloads;
-  payloads.reserve(kNumSections);
-  for (std::uint32_t id : kSectionIds) {
-    payloads.push_back(encode_section(id, metric, epsilon, hierarchy, naming,
-                                      hier, sf, simple, sfni));
-  }
+std::vector<std::uint8_t> encode_snapshot(const SnapshotStack& stack) {
+  CR_CHECK_MSG(stack.hierarchy && stack.naming,
+               "a stack always carries its hierarchy and naming");
+  const std::size_t n = stack.n;
+  const std::vector<std::uint8_t> payloads[kNumSections] = {
+      meta_payload(n, stack.epsilon, stack.normalization_scale, stack.delta,
+                   stack.num_levels),
+      graph_payload(stack.graph),
+      hierarchy_payload(*stack.hierarchy, n),
+      naming_payload(*stack.naming, n),
+      hier_payload(stack.hier.get(), n),
+      scale_free_payload(stack.sf.get(), n),
+      simple_payload(stack.simple.get()),
+      sfni_payload(stack.sfni.get(), n)};
 
-  const std::size_t header_size = kHeaderBytes + kNumSections * kEntryBytes;
-  std::vector<std::uint8_t> directory;
-  directory.reserve(kNumSections * kEntryBytes);
-  std::uint64_t offset = header_size;
+  std::vector<SnapshotSection> sections(kNumSections);
+  std::uint64_t offset = kHeaderBytes + kNumSections * kEntryBytes;
   for (std::size_t i = 0; i < kNumSections; ++i) {
-    append_u32(directory, kSectionIds[i]);
-    append_u64(directory, offset);
-    append_u64(directory, payloads[i].size());
-    append_u32(directory, snapshot_crc32(payloads[i].data(), payloads[i].size()));
+    sections[i].id = kSectionIds[i];
+    sections[i].offset = offset;
+    sections[i].size = payloads[i].size();
+    sections[i].crc = snapshot_crc32(payloads[i].data(), payloads[i].size());
     offset += payloads[i].size();
   }
-
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> out = container_header(sections);
   out.reserve(offset);
-  out.insert(out.end(), kMagic, kMagic + 8);
-  append_u32(out, kFormatVersion);
-  append_u32(out, static_cast<std::uint32_t>(kNumSections));
-  append_u32(out, snapshot_crc32(directory.data(), directory.size()));
-  out.insert(out.end(), directory.begin(), directory.end());
   for (const auto& payload : payloads) {
     out.insert(out.end(), payload.begin(), payload.end());
   }
@@ -745,6 +764,7 @@ std::vector<std::uint8_t> encode_snapshot(
 
 struct SnapshotStreamWriter::Impl {
   std::string path;
+  std::string tmp;  // path + ".tmp", renamed over path by finish()
   std::ofstream out;
   std::vector<SnapshotSection> sections;
   std::uint64_t offset = 0;
@@ -756,17 +776,24 @@ struct SnapshotStreamWriter::Impl {
 SnapshotStreamWriter::SnapshotStreamWriter(const std::string& path)
     : impl_(std::make_unique<Impl>()) {
   impl_->path = path;
-  impl_->out.open(path, std::ios::binary | std::ios::trunc);
-  if (!impl_->out) throw SnapshotError("cannot open " + path + " for writing");
+  impl_->tmp = path + ".tmp";
+  impl_->out.open(impl_->tmp, std::ios::binary | std::ios::trunc);
+  if (!impl_->out) {
+    throw SnapshotError("cannot open " + impl_->tmp + " for writing");
+  }
   // Placeholder header + directory (all zeros — not a valid magic, so a
   // crashed build never leaves a loadable file); finish() patches it.
   const std::vector<char> zeros(kHeaderBytes + kNumSections * kEntryBytes, 0);
   impl_->out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
-  if (!impl_->out) throw SnapshotError("short write to " + path);
+  if (!impl_->out) throw SnapshotError("short write to " + impl_->tmp);
   impl_->offset = zeros.size();
 }
 
-SnapshotStreamWriter::~SnapshotStreamWriter() = default;
+SnapshotStreamWriter::~SnapshotStreamWriter() {
+  if (impl_->finished) return;
+  impl_->out.close();
+  std::remove(impl_->tmp.c_str());
+}
 
 void SnapshotStreamWriter::append_section(
     std::uint32_t id, const std::vector<std::uint8_t>& payload) {
@@ -777,7 +804,7 @@ void SnapshotStreamWriter::append_section(
                "sections must be appended in container order");
   impl_->out.write(reinterpret_cast<const char*>(payload.data()),
                    static_cast<std::streamsize>(payload.size()));
-  if (!impl_->out) throw SnapshotError("short write to " + impl_->path);
+  if (!impl_->out) throw SnapshotError("short write to " + impl_->tmp);
   SnapshotSection section;
   section.id = id;
   section.name = section_name(id);
@@ -789,11 +816,13 @@ void SnapshotStreamWriter::append_section(
 }
 
 void SnapshotStreamWriter::add_meta(const MetricSpace& metric, double epsilon) {
-  append_section(kSectionMeta, meta_payload(metric, epsilon));
+  append_section(kSectionMeta,
+                 meta_payload(metric.n(), epsilon, metric.normalization_scale(),
+                              metric.delta(), metric.num_levels()));
 }
 
 void SnapshotStreamWriter::add_graph(const MetricSpace& metric) {
-  append_section(kSectionGraph, graph_payload(metric));
+  append_section(kSectionGraph, graph_payload(metric.graph()));
 }
 
 void SnapshotStreamWriter::add_hierarchy(const NetHierarchy& hierarchy,
@@ -860,29 +889,13 @@ std::uint64_t SnapshotStreamWriter::finish() {
   CR_CHECK_MSG(!impl_->finished, "finish() called twice");
   CR_CHECK_MSG(impl_->sections.size() == kNumSections,
                "finish() before every section was added");
-  std::vector<std::uint8_t> directory;
-  directory.reserve(kNumSections * kEntryBytes);
-  for (const SnapshotSection& section : impl_->sections) {
-    append_u32(directory, section.id);
-    append_u64(directory, section.offset);
-    append_u64(directory, section.size);
-    append_u32(directory, section.crc);
-  }
-  std::vector<std::uint8_t> header;
-  header.reserve(kHeaderBytes);
-  header.insert(header.end(), kMagic, kMagic + 8);
-  append_u32(header, kFormatVersion);
-  append_u32(header, static_cast<std::uint32_t>(kNumSections));
-  append_u32(header, snapshot_crc32(directory.data(), directory.size()));
-
+  const std::vector<std::uint8_t> header = container_header(impl_->sections);
   impl_->out.seekp(0);
   impl_->out.write(reinterpret_cast<const char*>(header.data()),
                    static_cast<std::streamsize>(header.size()));
-  impl_->out.write(reinterpret_cast<const char*>(directory.data()),
-                   static_cast<std::streamsize>(directory.size()));
-  impl_->out.flush();
-  if (!impl_->out) throw SnapshotError("short write to " + impl_->path);
   impl_->out.close();
+  if (!impl_->out) throw SnapshotError("short write to " + impl_->tmp);
+  commit_file(impl_->tmp, impl_->path);
   impl_->finished = true;
   return impl_->offset;
 }
@@ -1087,11 +1100,19 @@ SnapshotStack decode_snapshot(const std::vector<std::uint8_t>& bytes) {
 
 void write_snapshot_file(const std::string& path,
                          const std::vector<std::uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw SnapshotError("cannot open " + path + " for writing");
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw SnapshotError("short write to " + path);
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw SnapshotError("cannot open " + tmp + " for writing");
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    if (!out) {
+      std::remove(tmp.c_str());
+      throw SnapshotError("short write to " + tmp);
+    }
+  }
+  commit_file(tmp, path);
 }
 
 std::vector<std::uint8_t> read_snapshot_file(const std::string& path) {
@@ -1107,6 +1128,35 @@ std::vector<std::uint8_t> read_snapshot_file(const std::string& path) {
 
 SnapshotStack load_snapshot_file(const std::string& path) {
   return decode_snapshot(read_snapshot_file(path));
+}
+
+SnapshotStack build_stack(const Graph& graph, double epsilon,
+                          MetricOptions metric_options,
+                          std::optional<Naming> naming) {
+  SnapshotStack stack;
+  stack.metric = std::make_unique<MetricSpace>(graph, metric_options);
+  const MetricSpace& metric = *stack.metric;
+  stack.n = metric.n();
+  stack.epsilon = epsilon;
+  stack.normalization_scale = metric.normalization_scale();
+  stack.delta = metric.delta();
+  stack.num_levels = metric.num_levels();
+  stack.graph = metric.graph();
+  stack.csr = CsrGraph(stack.graph);
+  stack.hierarchy = std::make_unique<NetHierarchy>(metric);
+  const NetHierarchy& hierarchy = *stack.hierarchy;
+  stack.naming = std::make_unique<Naming>(
+      naming ? std::move(*naming) : Naming::random(stack.n, kStackNamingSeed));
+  const double eps_labeled = labeled_epsilon(epsilon);
+  stack.hier = std::make_unique<HierarchicalLabeledScheme>(metric, hierarchy,
+                                                           eps_labeled);
+  stack.sf =
+      std::make_unique<ScaleFreeLabeledScheme>(metric, hierarchy, eps_labeled);
+  stack.simple = std::make_unique<SimpleNameIndependentScheme>(
+      metric, hierarchy, *stack.naming, *stack.hier, epsilon);
+  stack.sfni = std::make_unique<ScaleFreeNameIndependentScheme>(
+      metric, hierarchy, *stack.naming, *stack.sf, epsilon);
+  return stack;
 }
 
 std::shared_ptr<const HopArena> SnapshotStack::build_arena() const {

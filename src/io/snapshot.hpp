@@ -24,9 +24,11 @@
 // payload carries its own CRC32, so any bit flip is rejected too. Every
 // failure path throws the typed SnapshotError — never UB, never a crash.
 //
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -51,10 +53,27 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A scheme stack restored from a snapshot. The schemes are fully functional
-/// for hop-by-hop serving (their query-time tables are complete) but carry no
-/// metric backend — RouteResult-style route()/storage_bits() entry points,
-/// which consult the metric, are fresh-build-only.
+/// The ε the labeled schemes are built with under a user-level ε: they
+/// require ε ≤ 1/2, so larger values are clamped to 0.5, while the
+/// name-independent schemes take the raw ε. Every stack builder takes the
+/// clamp from here.
+inline double labeled_epsilon(double epsilon) {
+  return std::min(epsilon, 0.5);
+}
+
+/// The seed of the default naming of a built stack (`crtool build` writes it).
+inline constexpr std::uint64_t kStackNamingSeed = 4242;
+
+/// The four-scheme stack: the nets, the naming and the two layered pairs of
+/// schemes (Theorem 1.4's simple name-independent scheme over Lemma 3.1's
+/// hierarchical labeled one, Theorem 1.1's scale-free name-independent scheme
+/// over Theorem 1.2's scale-free labeled one). build_stack() makes a fresh
+/// one; decode_snapshot() restores one.
+///
+/// A fresh stack carries its `metric`, so the schemes' route() and
+/// storage_bits() entry points work on it. A decoded stack has a null
+/// `metric`: its schemes serve hop by hop from their complete query-time
+/// tables, without the metric backend.
 ///
 /// Scheme sections may be zero-length (a subset snapshot from
 /// `crtool build --schemes light`); the corresponding pointers are then null.
@@ -68,8 +87,9 @@ struct SnapshotStack {
   int num_levels = 0;
 
   Graph graph;
-  CsrGraph csr;  // rebuilt from `graph` at load time
+  CsrGraph csr;  // built from `graph`
 
+  std::unique_ptr<MetricSpace> metric;  // fresh builds only
   std::unique_ptr<NetHierarchy> hierarchy;
   std::unique_ptr<Naming> naming;
   std::unique_ptr<HierarchicalLabeledScheme> hier;
@@ -86,14 +106,16 @@ struct SnapshotStack {
   std::shared_ptr<const HopArena> build_arena() const;
 };
 
-/// Serializes a freshly built stack. `epsilon` is the user-level ε (the one
-/// the name-independent schemes received); the labeled schemes' own clamped ε
-/// values ride in their sections.
-std::vector<std::uint8_t> encode_snapshot(
-    const MetricSpace& metric, double epsilon, const NetHierarchy& hierarchy,
-    const Naming& naming, const HierarchicalLabeledScheme& hier,
-    const ScaleFreeLabeledScheme& sf, const SimpleNameIndependentScheme& simple,
-    const ScaleFreeNameIndependentScheme& sfni);
+/// Builds the full stack from `graph` in dependency order: metric, nets,
+/// naming (default: Naming::random(n, kStackNamingSeed)), the labeled schemes
+/// at labeled_epsilon(ε), then the name-independent schemes at ε.
+SnapshotStack build_stack(const Graph& graph, double epsilon,
+                          MetricOptions metric_options = {},
+                          std::optional<Naming> naming = std::nullopt);
+
+/// Serializes a stack, fresh or decoded; absent schemes become zero-length
+/// sections. The labeled schemes' own clamped ε values ride in their sections.
+std::vector<std::uint8_t> encode_snapshot(const SnapshotStack& stack);
 
 /// Parses and validates a snapshot; throws SnapshotError on any defect.
 SnapshotStack decode_snapshot(const std::vector<std::uint8_t>& bytes);
@@ -110,13 +132,16 @@ class BitWriter;
 /// order, so a build pipeline can serialize and free each component before
 /// constructing the next one — peak memory stays at the live components, not
 /// the whole stack (DESIGN.md §10). The resulting file is byte-identical to
-/// write_snapshot_file(encode_snapshot(...)) over the same inputs.
+/// write_snapshot_file(encode_snapshot(stack)) over the same stack.
 ///
 /// Sections must be added in container order (meta, graph, hierarchy, naming,
 /// hier, scale-free, simple, sfni); a scheme passed as nullptr becomes a
 /// zero-length section, restored by decode_snapshot as an absent (null)
-/// scheme. The file carries a zeroed header until finish() patches the real
-/// directory in, so a crashed build never leaves a well-formed snapshot.
+/// scheme. Sections go to `<path>.tmp`, which carries a zeroed header until
+/// finish() patches the real directory in, fsyncs it and renames it over
+/// `<path>`: a crashed build never leaves a well-formed snapshot, an old file
+/// at `<path>` stays whole until the rename, and a live mapping of it keeps
+/// the old inode. A writer destroyed before finish() removes its temporary.
 class SnapshotStreamWriter {
  public:
   explicit SnapshotStreamWriter(const std::string& path);
@@ -142,8 +167,9 @@ class SnapshotStreamWriter {
   void add_simple_level(const std::vector<std::unique_ptr<SearchTree>>& trees);
   void end_simple();
 
-  /// Patches the header + directory over the placeholder and closes the
-  /// file; returns the total byte size. All 8 sections must have been added.
+  /// Patches the header + directory over the placeholder, fsyncs the
+  /// temporary and renames it over the target; returns the total byte size.
+  /// All 8 sections must have been added.
   std::uint64_t finish();
 
  private:
@@ -175,6 +201,7 @@ std::vector<SnapshotSection> snapshot_directory(const std::uint8_t* data,
 std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size);
 
 /// Whole-file IO helpers; both throw SnapshotError on filesystem failure.
+/// write_snapshot_file replaces `path` atomically, as the stream writer does.
 void write_snapshot_file(const std::string& path,
                          const std::vector<std::uint8_t>& bytes);
 std::vector<std::uint8_t> read_snapshot_file(const std::string& path);

@@ -43,7 +43,7 @@ std::size_t HopHeader::encoded_bits(std::size_t n, int num_levels) const {
 
 HopRun execute_hops(const MetricSpace& metric, const HopScheme& scheme, NodeId src,
                     std::uint64_t dest_key, std::size_t max_hops) {
-  if (max_hops == 0) max_hops = 64 * metric.n() + 1024;
+  if (max_hops == 0) max_hops = hop_budget(metric.n());
   HopRun run;
   run.path.push_back(src);
 #ifndef CR_OBS_DISABLED
@@ -83,8 +83,8 @@ HopRun execute_hops(const MetricSpace& metric, const HopScheme& scheme, NodeId s
 }
 
 RouteResult hop_route(const MetricSpace& metric, const HopScheme& scheme,
-                      NodeId src, std::uint64_t dest_key, std::size_t max_hops) {
-  HopRun run = execute_hops(metric, scheme, src, dest_key, max_hops);
+                      NodeId src, std::uint64_t dest_key) {
+  HopRun run = execute_hops(metric, scheme, src, dest_key);
   RouteResult result;
   result.delivered = run.delivered;
   result.path = std::move(run.path);

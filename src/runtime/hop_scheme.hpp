@@ -94,15 +94,20 @@ struct HopRun {
   RouteTrace trace;  // phase-tagged hops; empty under CR_OBS_DISABLED
 };
 
+/// The hop budget of one route on an n-node graph, 64 n + 1024: every
+/// walker (execute_hops, serve_batch, ServerEpoch::serve) gives up on a
+/// route that has not arrived within it.
+inline std::size_t hop_budget(std::size_t n) { return 64 * n + 1024; }
+
 /// Executes the scheme hop by hop from src. Throws InvariantError if the
-/// scheme ever forwards to a non-neighbor or exceeds max_hops.
+/// scheme ever forwards to a non-neighbor or exceeds max_hops (0 means
+/// hop_budget(n)).
 HopRun execute_hops(const MetricSpace& metric, const HopScheme& scheme, NodeId src,
                     std::uint64_t dest_key, std::size_t max_hops = 0);
 
 /// Same execution, shaped as a RouteResult (the trace rides along) — the
 /// bridge between the strict runtime and RouteResult-based evaluation.
 RouteResult hop_route(const MetricSpace& metric, const HopScheme& scheme,
-                      NodeId src, std::uint64_t dest_key,
-                      std::size_t max_hops = 0);
+                      NodeId src, std::uint64_t dest_key);
 
 }  // namespace compactroute

@@ -103,8 +103,7 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
 
   const std::size_t count = requests.size();
   const std::size_t n = csr.num_nodes();
-  const std::size_t max_hops =
-      options.max_hops != 0 ? options.max_hops : 64 * n + 1024;
+  const std::size_t max_hops = hop_budget(n);
 
   // Per-request output slots, preallocated so workers write disjoint state
   // and the hop loop itself never allocates.

@@ -34,8 +34,6 @@ struct ServeRequest {
 };
 
 struct ServeOptions {
-  /// 0 means the execute_hops default budget of 64 n + 1024.
-  std::size_t max_hops = 0;
   /// Record per-request wall-clock latency (steady_clock, microseconds).
   /// Costs two clock reads per request; disable for pure-throughput runs.
   bool collect_latencies = true;
@@ -77,7 +75,7 @@ std::vector<ServeRequest> make_requests(
 
 /// Replays the batch and aggregates throughput/latency/fingerprint. Throws
 /// InvariantError if the scheme ever forwards to a non-neighbor or exceeds
-/// the hop budget (the same contract execute_hops enforces).
+/// hop_budget(n) (the same contract execute_hops enforces).
 ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
                        const std::vector<ServeRequest>& requests,
                        const ServeOptions& options = {});

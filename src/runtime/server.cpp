@@ -165,16 +165,13 @@ const HopScheme& ServerEpoch::hop(ServeScheme scheme) const {
 }
 
 std::uint64_t ServerEpoch::serve(const ServerRequest& request,
-                                 std::size_t max_hops,
                                  std::size_t* hops) const {
-  const std::size_t budget =
-      max_hops != 0 ? max_hops : 64 * stack_.n + 1024;
   ServeRequest one;
   one.src = request.src;
   one.dest_key = dest_key(request.scheme, request.dest);
   bool delivered = false;
   const std::uint64_t fp = serve_one(stack_.csr, hop(request.scheme), one,
-                                     budget, hops, &delivered);
+                                     hop_budget(stack_.n), hops, &delivered);
   CR_CHECK(delivered);
   return fp;
 }
@@ -196,7 +193,7 @@ std::uint64_t ServerEpoch::compute_self_fingerprint() const {
       NodeId dest = static_cast<NodeId>(prng.next_below(stack_.n - 1));
       if (dest >= request.src) ++dest;
       request.dest = dest;
-      const std::uint64_t fp = serve(request, 0, nullptr);
+      const std::uint64_t fp = serve(request, nullptr);
       digest ^= fingerprint_term(fp, k);
     }
   }
@@ -315,7 +312,7 @@ std::size_t Server::pump(std::vector<ServerResult>& results) {
                      "result slot out of range for request id");
         std::size_t hops = 0;
         const std::uint64_t fp =
-            epoch->serve(entry.request, options_.max_hops, &hops);
+            epoch->serve(entry.request, &hops);
         ServerResult& slot = results[entry.id];
         slot.fingerprint = fp;
         slot.epoch = epoch->id();

@@ -124,7 +124,7 @@ class ServerEpoch {
   static std::shared_ptr<ServerEpoch> load(const std::string& path,
                                            bool use_mmap, std::uint64_t id);
 
-  /// Wraps an already decoded stack (fresh builds, tests).
+  /// Wraps a stack already in memory: decoded, or fresh from build_stack.
   static std::shared_ptr<ServerEpoch> adopt(SnapshotStack stack,
                                             std::uint64_t id);
 
@@ -148,11 +148,11 @@ class ServerEpoch {
   /// (leaf label for labeled schemes, name for NI schemes).
   std::uint64_t dest_key(ServeScheme scheme, NodeId dest) const;
 
-  /// Routes one request (serve_one over this epoch's CSR + hop runtime).
-  /// Thread-safe and allocation-free; throws InvariantError on a contract
-  /// breach (non-edge forward, hop budget), like serve_batch.
-  std::uint64_t serve(const ServerRequest& request, std::size_t max_hops,
-                      std::size_t* hops) const;
+  /// Routes one request (serve_one over this epoch's CSR + hop runtime,
+  /// within hop_budget(n)). Thread-safe and allocation-free; throws
+  /// InvariantError on a contract breach (non-edge forward, hop budget),
+  /// like serve_batch.
+  std::uint64_t serve(const ServerRequest& request, std::size_t* hops) const;
 
   /// Digest of a fixed seeded self-audit batch over every present scheme,
   /// computed once at load. audit() re-serves the same batch and returns
@@ -197,8 +197,6 @@ struct ServerOptions {
   /// Full shard: block the submitter until a pump makes room, instead of
   /// shedding. Requires some thread to keep pumping, or stop() to abort.
   bool backpressure = false;
-  /// Hop budget per request; 0 = the serve default (64 n + 1024).
-  std::size_t max_hops = 0;
   /// Stamp submit/completion times and report submit->completion latency.
   bool collect_latencies = true;
 };

@@ -11,15 +11,8 @@
 #include "core/parallel.hpp"
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
-#include "graph/metric.hpp"
 #include "io/snapshot.hpp"
-#include "labeled/hierarchical_labeled.hpp"
-#include "labeled/scale_free_labeled.hpp"
-#include "nameind/scale_free_nameind.hpp"
-#include "nameind/simple_nameind.hpp"
-#include "nets/rnet.hpp"
 #include "obs/sharded.hpp"
-#include "routing/naming.hpp"
 #include "runtime/hop_arena.hpp"
 #include "runtime/hop_hierarchical.hpp"
 #include "runtime/hop_scale_free.hpp"
@@ -43,34 +36,21 @@ constexpr std::size_t kPairs = 400;
 
 struct ArenaFixture {
   ArenaFixture(const Graph& g, double eps)
-      : metric(g),
-        hierarchy(metric),
-        naming(Naming::random(metric.n(), 47)),
-        hier(metric, hierarchy, eps),
-        sf(metric, hierarchy, eps),
-        simple(metric, hierarchy, naming, hier, eps),
-        sfni(metric, hierarchy, naming, sf, eps),
-        loaded(decode_snapshot(encode_snapshot(metric, eps, hierarchy, naming,
-                                               hier, sf, simple, sfni))),
+      : fresh(build_stack(g, eps, {}, Naming::random(g.num_nodes(), 47))),
+        loaded(decode_snapshot(encode_snapshot(fresh))),
         shared_arena(loaded.build_arena()) {}
 
   std::vector<ServeRequest> labeled_requests() const {
-    return make_requests(metric.n(), kPairs, 5, [&](NodeId v) {
-      return std::uint64_t{hierarchy.leaf_label(v)};
+    return make_requests(fresh.n, kPairs, 5, [&](NodeId v) {
+      return std::uint64_t{fresh.hierarchy->leaf_label(v)};
     });
   }
   std::vector<ServeRequest> named_requests() const {
-    return make_requests(metric.n(), kPairs, 6,
-                         [&](NodeId v) { return naming.name_of(v); });
+    return make_requests(fresh.n, kPairs, 6,
+                         [&](NodeId v) { return fresh.naming->name_of(v); });
   }
 
-  MetricSpace metric;
-  NetHierarchy hierarchy;
-  Naming naming;
-  HierarchicalLabeledScheme hier;
-  ScaleFreeLabeledScheme sf;
-  SimpleNameIndependentScheme simple;
-  ScaleFreeNameIndependentScheme sfni;
+  SnapshotStack fresh;
   SnapshotStack loaded;
   std::shared_ptr<const HopArena> shared_arena;
 };
@@ -93,7 +73,7 @@ void expect_golden(const ArenaFixture& f, const HopScheme& arena_fresh,
                    const std::vector<ServeRequest>& requests,
                    std::uint64_t golden) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    EXPECT_EQ(fingerprint(f.metric.csr(), arena_fresh, requests, workers),
+    EXPECT_EQ(fingerprint(f.fresh.csr, arena_fresh, requests, workers),
               golden)
         << arena_fresh.name() << ": fresh arena diverges at " << workers
         << " workers";
@@ -120,23 +100,25 @@ constexpr Frozen kGridEps02 = {0xc491f067d52124e9ULL, 0xa4d5ae5760cb59c6ULL,
                                0xadee0e40d2293911ULL, 0x321c7a0165577b12ULL};
 
 void expect_hier(const ArenaFixture& f, std::uint64_t golden) {
-  expect_golden(f, HierarchicalHopScheme(f.hier),
+  expect_golden(f, HierarchicalHopScheme(*f.fresh.hier),
                 HierarchicalHopScheme(*f.loaded.hier, f.shared_arena),
                 f.labeled_requests(), golden);
 }
 void expect_sf(const ArenaFixture& f, std::uint64_t golden) {
-  expect_golden(f, ScaleFreeHopScheme(f.sf),
+  expect_golden(f, ScaleFreeHopScheme(*f.fresh.sf),
                 ScaleFreeHopScheme(*f.loaded.sf, f.shared_arena),
                 f.labeled_requests(), golden);
 }
 void expect_simple(const ArenaFixture& f, std::uint64_t golden) {
-  expect_golden(f, SimpleNameIndependentHopScheme(f.simple, f.hier),
+  expect_golden(f,
+                SimpleNameIndependentHopScheme(*f.fresh.simple, *f.fresh.hier),
                 SimpleNameIndependentHopScheme(*f.loaded.simple, *f.loaded.hier,
                                                f.shared_arena),
                 f.named_requests(), golden);
 }
 void expect_sfni(const ArenaFixture& f, std::uint64_t golden) {
-  expect_golden(f, ScaleFreeNameIndependentHopScheme(f.sfni, f.sf),
+  expect_golden(f,
+                ScaleFreeNameIndependentHopScheme(*f.fresh.sfni, *f.fresh.sf),
                 ScaleFreeNameIndependentHopScheme(*f.loaded.sfni, *f.loaded.sf,
                                                   f.shared_arena),
                 f.named_requests(), golden);
@@ -213,7 +195,7 @@ TEST(HopArenaCounterTest, ArenaStepsMeterEveryDecision) {
                            const std::vector<ServeRequest>& requests) {
     const std::uint64_t before = counter_value("hop.arena.steps");
     const ServeStats stats =
-        serve_batch(f.metric.csr(), scheme, requests, options);
+        serve_batch(f.fresh.csr, scheme, requests, options);
     EXPECT_EQ(stats.delivered, requests.size());
     return std::pair{counter_value("hop.arena.steps") - before,
                      std::uint64_t{stats.total_hops + stats.delivered}};
@@ -221,13 +203,15 @@ TEST(HopArenaCounterTest, ArenaStepsMeterEveryDecision) {
   const auto labeled = f.labeled_requests();
   const auto named = f.named_requests();
   for (const auto& [steps, decisions] :
-       {metered(HierarchicalHopScheme(f.hier), labeled),
-        metered(ScaleFreeHopScheme(f.sf), labeled),
-        metered(SimpleNameIndependentHopScheme(f.simple, f.hier), named)}) {
+       {metered(HierarchicalHopScheme(*f.fresh.hier), labeled),
+        metered(ScaleFreeHopScheme(*f.fresh.sf), labeled),
+        metered(SimpleNameIndependentHopScheme(*f.fresh.simple, *f.fresh.hier),
+                named)}) {
     EXPECT_EQ(steps, decisions);
   }
   const auto [sfni_steps, sfni_decisions] =
-      metered(ScaleFreeNameIndependentHopScheme(f.sfni, f.sf), named);
+      metered(ScaleFreeNameIndependentHopScheme(*f.fresh.sfni, *f.fresh.sf),
+              named);
   EXPECT_GT(sfni_steps, sfni_decisions);
 }
 #endif  // CR_OBS_DISABLED
@@ -255,7 +239,7 @@ class ServedWalkDifferential
 TEST_P(ServedWalkDifferential, RouteMatchesServedWalk) {
   const ArenaFixture f(differential_graph(std::get<0>(GetParam())),
                        std::get<1>(GetParam()));
-  const std::size_t n = f.metric.n();
+  const std::size_t n = f.fresh.n;
   Prng prng(2006);
   std::vector<std::pair<NodeId, NodeId>> pairs;
   for (std::size_t i = 0; i < kDifferentialPairs; ++i) {
@@ -273,7 +257,7 @@ TEST_P(ServedWalkDifferential, RouteMatchesServedWalk) {
     for (const auto& [src, dst] : pairs) {
       const std::uint64_t key = key_of(dst);
       const RouteResult offline = route_of(src, key);
-      const RouteResult walked = hop_route(f.metric, served, src, key);
+      const RouteResult walked = hop_route(*f.fresh.metric, served, src, key);
       const bool same =
           offline.delivered == walked.delivered &&
           offline.path.front() == walked.path.front() &&
@@ -290,25 +274,28 @@ TEST_P(ServedWalkDifferential, RouteMatchesServedWalk) {
         << " pairs differ; first " << first;
   };
   const auto label_of = [&](NodeId v) {
-    return std::uint64_t{f.hierarchy.leaf_label(v)};
+    return std::uint64_t{f.fresh.hierarchy->leaf_label(v)};
   };
-  const auto name_of = [&](NodeId v) { return f.naming.name_of(v); };
+  const auto name_of = [&](NodeId v) { return f.fresh.naming->name_of(v); };
 
   expect_same_walks(
       HierarchicalHopScheme(*f.loaded.hier, f.shared_arena),
-      [&](NodeId s, std::uint64_t k) { return f.hier.route(s, k); }, label_of);
+      [&](NodeId s, std::uint64_t k) { return f.fresh.hier->route(s, k); },
+      label_of);
   expect_same_walks(
       ScaleFreeHopScheme(*f.loaded.sf, f.shared_arena),
-      [&](NodeId s, std::uint64_t k) { return f.sf.route(s, k); }, label_of);
+      [&](NodeId s, std::uint64_t k) { return f.fresh.sf->route(s, k); },
+      label_of);
   expect_same_walks(
       SimpleNameIndependentHopScheme(*f.loaded.simple, *f.loaded.hier,
                                      f.shared_arena),
-      [&](NodeId s, std::uint64_t k) { return f.simple.route(s, k); },
+      [&](NodeId s, std::uint64_t k) { return f.fresh.simple->route(s, k); },
       name_of);
   expect_same_walks(
       ScaleFreeNameIndependentHopScheme(*f.loaded.sfni, *f.loaded.sf,
                                         f.shared_arena),
-      [&](NodeId s, std::uint64_t k) { return f.sfni.route(s, k); }, name_of);
+      [&](NodeId s, std::uint64_t k) { return f.fresh.sfni->route(s, k); },
+      name_of);
 }
 
 INSTANTIATE_TEST_SUITE_P(

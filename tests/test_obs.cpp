@@ -15,16 +15,11 @@
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
 #include "graph/metric.hpp"
-#include "labeled/hierarchical_labeled.hpp"
-#include "labeled/scale_free_labeled.hpp"
-#include "nameind/scale_free_nameind.hpp"
-#include "nameind/simple_nameind.hpp"
-#include "nets/rnet.hpp"
+#include "io/snapshot.hpp"
 #include "obs/json_export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sharded.hpp"
 #include "obs/trace.hpp"
-#include "routing/naming.hpp"
 #include "routing/simulator.hpp"
 #include "runtime/hop_hierarchical.hpp"
 #include "runtime/hop_scale_free.hpp"
@@ -311,23 +306,10 @@ TEST(StretchStats, EvaluatePairsSpotsMisdelivery) {
 // ---------------------------------------------------------------------------
 // Trace invariants on the four hop-by-hop runtime schemes
 
-struct TraceFixture {
-  explicit TraceFixture(const Graph& graph, double eps = 0.5)
-      : metric(graph),
-        hierarchy(metric),
-        naming(Naming::random(metric.n(), 31)),
-        hier(metric, hierarchy, eps),
-        sf(metric, hierarchy, eps),
-        simple(metric, hierarchy, naming, hier, eps),
-        sfni(metric, hierarchy, naming, sf, eps) {}
-  MetricSpace metric;
-  NetHierarchy hierarchy;
-  Naming naming;
-  HierarchicalLabeledScheme hier;
-  ScaleFreeLabeledScheme sf;
-  SimpleNameIndependentScheme simple;
-  ScaleFreeNameIndependentScheme sfni;
-};
+/// The four-scheme stack over `graph` with this suite's naming seed.
+SnapshotStack trace_stack(const Graph& graph, double eps = 0.5) {
+  return build_stack(graph, eps, {}, Naming::random(graph.num_nodes(), 31));
+}
 
 void expect_trace_invariants(const MetricSpace& metric, const HopScheme& scheme,
                              NodeId src, [[maybe_unused]] NodeId dst,
@@ -364,20 +346,20 @@ void expect_trace_invariants(const MetricSpace& metric, const HopScheme& scheme,
 }
 
 TEST(RouteTrace, InvariantsHoldForAllFourRuntimeSchemesOnGrid) {
-  const TraceFixture f(make_grid(8, 8));
-  const HierarchicalHopScheme hop_hier(f.hier);
-  const ScaleFreeHopScheme hop_sf(f.sf);
-  const SimpleNameIndependentHopScheme hop_simple(f.simple, f.hier);
-  const ScaleFreeNameIndependentHopScheme hop_sfni(f.sfni, f.sf);
+  const SnapshotStack f = trace_stack(make_grid(8, 8));
+  const HierarchicalHopScheme hop_hier(*f.hier);
+  const ScaleFreeHopScheme hop_sf(*f.sf);
+  const SimpleNameIndependentHopScheme hop_simple(*f.simple, *f.hier);
+  const ScaleFreeNameIndependentHopScheme hop_sfni(*f.sfni, *f.sf);
   Prng prng(5);
   for (int trial = 0; trial < 40; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(f.metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(f.metric.n()));
+    const NodeId u = static_cast<NodeId>(prng.next_below(f.n));
+    const NodeId v = static_cast<NodeId>(prng.next_below(f.n));
     if (u == v) continue;
-    expect_trace_invariants(f.metric, hop_hier, u, v, f.hier.label(v));
-    expect_trace_invariants(f.metric, hop_sf, u, v, f.sf.label(v));
-    expect_trace_invariants(f.metric, hop_simple, u, v, f.naming.name_of(v));
-    expect_trace_invariants(f.metric, hop_sfni, u, v, f.naming.name_of(v));
+    expect_trace_invariants(*f.metric, hop_hier, u, v, f.hier->label(v));
+    expect_trace_invariants(*f.metric, hop_sf, u, v, f.sf->label(v));
+    expect_trace_invariants(*f.metric, hop_simple, u, v, f.naming->name_of(v));
+    expect_trace_invariants(*f.metric, hop_sfni, u, v, f.naming->name_of(v));
   }
 }
 
@@ -385,15 +367,15 @@ TEST(RouteTrace, InvariantsHoldForAllFourRuntimeSchemesOnGrid) {
 TEST(RouteTrace, DeepSpiderProducesMultiplePhases) {
   // On a log Delta >> log n instance the scale-free machine must hand off to
   // region centers and search — the trace should show more than one phase.
-  const TraceFixture f(make_exponential_spider(16, 4), 0.25);
-  const ScaleFreeHopScheme hop(f.sf);
+  const SnapshotStack f = trace_stack(make_exponential_spider(16, 4), 0.25);
+  const ScaleFreeHopScheme hop(*f.sf);
   Prng prng(6);
   std::size_t multi_phase_routes = 0;
   for (int trial = 0; trial < 80; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(f.metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(f.metric.n()));
+    const NodeId u = static_cast<NodeId>(prng.next_below(f.n));
+    const NodeId v = static_cast<NodeId>(prng.next_below(f.n));
     if (u == v) continue;
-    const RouteResult r = hop_route(f.metric, hop, u, f.sf.label(v));
+    const RouteResult r = hop_route(*f.metric, hop, u, f.sf->label(v));
     ASSERT_TRUE(r.delivered);
     const auto hops = r.trace.phase_hops();
     std::size_t phases_used = 0;
@@ -405,10 +387,10 @@ TEST(RouteTrace, DeepSpiderProducesMultiplePhases) {
 }
 
 TEST(RouteTrace, TraceToJsonRoundTrips) {
-  const TraceFixture f(make_grid(6, 6));
-  const SimpleNameIndependentHopScheme hop(f.simple, f.hier);
+  const SnapshotStack f = trace_stack(make_grid(6, 6));
+  const SimpleNameIndependentHopScheme hop(*f.simple, *f.hier);
   const NodeId u = 0, v = 35;
-  const RouteResult r = hop_route(f.metric, hop, u, f.naming.name_of(v));
+  const RouteResult r = hop_route(*f.metric, hop, u, f.naming->name_of(v));
   ASSERT_TRUE(r.delivered);
   ASSERT_FALSE(r.trace.empty());
 

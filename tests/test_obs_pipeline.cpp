@@ -20,9 +20,6 @@
 #include "graph/metric.hpp"
 #include "io/snapshot.hpp"
 #include "labeled/hierarchical_labeled.hpp"
-#include "labeled/scale_free_labeled.hpp"
-#include "nameind/scale_free_nameind.hpp"
-#include "nameind/simple_nameind.hpp"
 #include "nets/rnet.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flight_recorder.hpp"
@@ -30,7 +27,6 @@
 #include "obs/metrics.hpp"
 #include "obs/sharded.hpp"
 #include "obs/spans.hpp"
-#include "routing/naming.hpp"
 #include "runtime/hop_hierarchical.hpp"
 #include "runtime/serve.hpp"
 #include "runtime/server.hpp"
@@ -530,16 +526,8 @@ TEST(ServeInstrumentation, ServerReloadCycleBumpsQueueAndEpochCounters) {
   obs::reset_global();
   preregister_serving_metrics();
 
-  const Graph graph = make_grid(8, 8);
-  const MetricSpace metric(graph);
-  const NetHierarchy hierarchy(metric);
-  const Naming naming = Naming::random(metric.n(), 4242);
-  const HierarchicalLabeledScheme hier(metric, hierarchy, 0.5);
-  const ScaleFreeLabeledScheme sf(metric, hierarchy, 0.5);
-  const SimpleNameIndependentScheme simple(metric, hierarchy, naming, hier, 0.5);
-  const ScaleFreeNameIndependentScheme sfni(metric, hierarchy, naming, sf, 0.5);
-  const std::vector<std::uint8_t> bytes = encode_snapshot(
-      metric, 0.5, hierarchy, naming, hier, sf, simple, sfni);
+  const std::vector<std::uint8_t> bytes =
+      encode_snapshot(build_stack(make_grid(8, 8), 0.5));
 
   ServerOptions options;
   options.queue_depth = 4;  // tiny on purpose: the burst below must shed

@@ -13,12 +13,7 @@
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
 #include "graph/metric.hpp"
-#include "labeled/hierarchical_labeled.hpp"
-#include "labeled/scale_free_labeled.hpp"
-#include "nameind/scale_free_nameind.hpp"
-#include "nameind/simple_nameind.hpp"
-#include "nets/rnet.hpp"
-#include "routing/naming.hpp"
+#include "io/snapshot.hpp"
 #include "routing/simulator.hpp"
 
 namespace compactroute {
@@ -200,30 +195,23 @@ void push_stats(std::vector<std::uint64_t>& fp, const StretchStats& s) {
 /// bit-identical.
 std::vector<std::uint64_t> stack_fingerprint(std::size_t workers) {
   Executor::global().set_workers(workers);
-  const double eps = 0.5;
-  const Graph graph = make_random_geometric(110, 2, 4, 42);
-  const MetricSpace metric(graph);
-  const NetHierarchy hierarchy(metric);
-  const Naming naming = Naming::random(metric.n(), 4242);
-  const HierarchicalLabeledScheme hier(metric, hierarchy, eps);
-  const ScaleFreeLabeledScheme sf(metric, hierarchy, eps);
-  const SimpleNameIndependentScheme simple(metric, hierarchy, naming, hier, eps);
-  const ScaleFreeNameIndependentScheme sfni(metric, hierarchy, naming, sf, eps);
-  const std::size_t n = metric.n();
+  const SnapshotStack s =
+      build_stack(make_random_geometric(110, 2, 4, 42), 0.5);
+  const std::size_t n = s.n;
 
   std::vector<std::uint64_t> fp;
 
   for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = 0; v < n; ++v) push_double(fp, metric.dist(u, v));
+    for (NodeId v = 0; v < n; ++v) push_double(fp, s.metric->dist(u, v));
   }
-  for (int i = 0; i <= hierarchy.top_level(); ++i) {
-    for (const NodeId x : hierarchy.net(i)) push(fp, x);
-    for (NodeId u = 0; u < n; ++u) push(fp, hierarchy.zoom(i, u));
+  for (int i = 0; i <= s.hierarchy->top_level(); ++i) {
+    for (const NodeId x : s.hierarchy->net(i)) push(fp, x);
+    for (NodeId u = 0; u < n; ++u) push(fp, s.hierarchy->zoom(i, u));
   }
-  for (NodeId u = 0; u < n; ++u) push(fp, hierarchy.leaf_label(u));
+  for (NodeId u = 0; u < n; ++u) push(fp, s.hierarchy->leaf_label(u));
 
   for (NodeId u = 0; u < n; ++u) {
-    for (const auto& level : hier.rings(u)) {
+    for (const auto& level : s.hier->rings(u)) {
       for (const auto& entry : level) {
         push(fp, entry.x);
         push(fp, entry.range.lo);
@@ -234,10 +222,10 @@ std::vector<std::uint64_t> stack_fingerprint(std::size_t workers) {
   }
 
   for (NodeId u = 0; u < n; ++u) {
-    push(fp, hier.storage_bits(u));
-    push(fp, sf.storage_bits(u));
-    push(fp, simple.storage_bits(u));
-    push(fp, sfni.storage_bits(u));
+    push(fp, s.hier->storage_bits(u));
+    push(fp, s.sf->storage_bits(u));
+    push(fp, s.simple->storage_bits(u));
+    push(fp, s.sfni->storage_bits(u));
   }
 
   const auto push_route = [&](const RouteResult& r) {
@@ -250,27 +238,29 @@ std::vector<std::uint64_t> stack_fingerprint(std::size_t workers) {
     const NodeId src = static_cast<NodeId>(pair_prng.next_below(n));
     NodeId dst = static_cast<NodeId>(pair_prng.next_below(n - 1));
     if (dst >= src) ++dst;
-    push_route(hier.route(src, hier.label(dst)));
-    push_route(sf.route(src, sf.label(dst)));
-    push_route(simple.route(src, naming.name_of(dst)));
-    push_route(sfni.route(src, naming.name_of(dst)));
+    push_route(s.hier->route(src, s.hier->label(dst)));
+    push_route(s.sf->route(src, s.sf->label(dst)));
+    push_route(s.simple->route(src, s.naming->name_of(dst)));
+    push_route(s.sfni->route(src, s.naming->name_of(dst)));
   }
 
   {
     Prng p(7);
-    push_stats(fp, evaluate_labeled(hier, metric, 500, p));
+    push_stats(fp, evaluate_labeled(*s.hier, *s.metric, 500, p));
   }
   {
     Prng p(7);
-    push_stats(fp, evaluate_labeled(sf, metric, 500, p));
+    push_stats(fp, evaluate_labeled(*s.sf, *s.metric, 500, p));
   }
   {
     Prng p(7);
-    push_stats(fp, evaluate_name_independent(simple, metric, naming, 500, p));
+    push_stats(fp, evaluate_name_independent(*s.simple, *s.metric, *s.naming,
+                                             500, p));
   }
   {
     Prng p(7);
-    push_stats(fp, evaluate_name_independent(sfni, metric, naming, 500, p));
+    push_stats(fp, evaluate_name_independent(*s.sfni, *s.metric, *s.naming,
+                                             500, p));
   }
   return fp;
 }

@@ -8,7 +8,7 @@
 //
 // The second half proves the streaming writer is an identity transform:
 // SnapshotStreamWriter (whole-scheme or per-level ni-simple streaming)
-// emits the same file write_snapshot_file(encode_snapshot(...)) does, and
+// emits the same file write_snapshot_file(encode_snapshot(stack)) does, and
 // subset snapshots (null scale-free sections) round-trip as absent schemes
 // while dependency-violating subsets are rejected.
 #include <gtest/gtest.h>
@@ -23,14 +23,8 @@
 #include "gen/generators.hpp"
 #include "graph/metric.hpp"
 #include "io/snapshot.hpp"
-#include "labeled/hierarchical_labeled.hpp"
-#include "labeled/scale_free_labeled.hpp"
-#include "nameind/scale_free_nameind.hpp"
-#include "nameind/simple_nameind.hpp"
-#include "nets/rnet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sharded.hpp"
-#include "routing/naming.hpp"
 
 namespace compactroute {
 namespace {
@@ -44,48 +38,18 @@ struct WorkerGuard {
 
 constexpr double kEps = 0.5;
 
-/// One fully built stack plus its canonical snapshot encoding.
-struct BuiltStack {
-  Graph graph;
-  std::unique_ptr<MetricSpace> metric;
-  std::unique_ptr<NetHierarchy> hierarchy;
-  std::unique_ptr<Naming> naming;
-  std::unique_ptr<HierarchicalLabeledScheme> hier;
-  std::unique_ptr<ScaleFreeLabeledScheme> sf;
-  std::unique_ptr<SimpleNameIndependentScheme> simple;
-  std::unique_ptr<ScaleFreeNameIndependentScheme> sfni;
-
-  std::vector<std::uint8_t> encode() const {
-    return encode_snapshot(*metric, kEps, *hierarchy, *naming, *hier, *sf,
-                           *simple, *sfni);
-  }
-};
-
-BuiltStack build_stack(const MetricOptions& options) {
-  BuiltStack s;
-  // This exact instance (n = 256, seed 7) once exposed a 1-ulp delta
-  // divergence between the full-APSP maximum and the iFUB diameter —
-  // irrational edge weights where Dijkstra path sums from opposite endpoints
-  // associate differently. Smaller instances missed it; keep this one.
-  s.graph = make_random_geometric(256, 2, 5, 7);
-  s.metric = std::make_unique<MetricSpace>(s.graph, options);
-  s.hierarchy = std::make_unique<NetHierarchy>(*s.metric);
-  s.naming = std::make_unique<Naming>(Naming::random(s.metric->n(), 4242));
-  s.hier = std::make_unique<HierarchicalLabeledScheme>(*s.metric, *s.hierarchy,
-                                                       kEps);
-  s.sf = std::make_unique<ScaleFreeLabeledScheme>(*s.metric, *s.hierarchy,
-                                                  kEps);
-  s.simple = std::make_unique<SimpleNameIndependentScheme>(
-      *s.metric, *s.hierarchy, *s.naming, *s.hier, kEps);
-  s.sfni = std::make_unique<ScaleFreeNameIndependentScheme>(
-      *s.metric, *s.hierarchy, *s.naming, *s.sf, kEps);
-  return s;
+// This exact instance (n = 256, seed 7) once exposed a 1-ulp delta
+// divergence between the full-APSP maximum and the iFUB diameter —
+// irrational edge weights where Dijkstra path sums from opposite endpoints
+// associate differently. Smaller instances missed it; keep this one.
+SnapshotStack geometric_stack(const MetricOptions& options) {
+  return build_stack(make_random_geometric(256, 2, 5, 7), kEps, options);
 }
 
 std::vector<std::uint8_t> snapshot_bytes(std::size_t workers,
                                          const MetricOptions& options) {
   Executor::global().set_workers(workers);
-  return build_stack(options).encode();
+  return encode_snapshot(geometric_stack(options));
 }
 
 // ---------------------------------------------------------------------------
@@ -118,9 +82,8 @@ TEST(RowFreeBuild, BuildMaterializesNoRows) {
   WorkerGuard guard;
   Executor::global().set_workers(4);
   obs::reset_global();
-  const BuiltStack stack =
-      build_stack({.backend = MetricBackendKind::kRowFree});
-  (void)stack.encode();
+  (void)encode_snapshot(
+      geometric_stack({.backend = MetricBackendKind::kRowFree}));
   const auto scraped = obs::scrape_global();
   const auto it = scraped->counters().find("metric.rows.materialized");
   const std::uint64_t rows =
@@ -143,9 +106,9 @@ std::string temp_path(const char* name) {
 TEST(RowFreeBuild, StreamWriterMatchesEncodeSnapshot) {
   WorkerGuard guard;
   Executor::global().set_workers(2);
-  const BuiltStack s = build_stack(MetricOptions{});
-  const std::vector<std::uint8_t> reference = s.encode();
-  const std::size_t n = s.metric->n();
+  const SnapshotStack s = geometric_stack(MetricOptions{});
+  const std::vector<std::uint8_t> reference = encode_snapshot(s);
+  const std::size_t n = s.n;
 
   const std::string path = temp_path("cr_rowfree_stream.snap");
   SnapshotStreamWriter writer(path);
@@ -168,9 +131,9 @@ TEST(RowFreeBuild, StreamWriterMatchesEncodeSnapshot) {
 TEST(RowFreeBuild, PerLevelSimpleStreamingMatchesEncodeSnapshot) {
   WorkerGuard guard;
   Executor::global().set_workers(2);
-  const BuiltStack s = build_stack(MetricOptions{});
-  const std::vector<std::uint8_t> reference = s.encode();
-  const std::size_t n = s.metric->n();
+  const SnapshotStack s = geometric_stack(MetricOptions{});
+  const std::vector<std::uint8_t> reference = encode_snapshot(s);
+  const std::size_t n = s.n;
 
   const std::string path = temp_path("cr_rowfree_stream_levels.snap");
   SnapshotStreamWriter writer(path);
@@ -181,7 +144,7 @@ TEST(RowFreeBuild, PerLevelSimpleStreamingMatchesEncodeSnapshot) {
   writer.add_hier(s.hier.get(), n);
   writer.add_scale_free(s.sf.get(), n);
   // Rebuild the ni-simple tables level by level, dropping each level after
-  // it is encoded — the crtool build --stream path.
+  // it is encoded — the crtool build --out path.
   writer.begin_simple(kEps, s.hierarchy->top_level() + 1);
   SimpleNameIndependentScheme::build_levels(
       *s.metric, *s.hierarchy, *s.naming, *s.hier, kEps,
@@ -205,8 +168,8 @@ TEST(RowFreeBuild, PerLevelSimpleStreamingMatchesEncodeSnapshot) {
 TEST(RowFreeBuild, SubsetSnapshotRoundTripsAbsentSchemes) {
   WorkerGuard guard;
   Executor::global().set_workers(2);
-  const BuiltStack s = build_stack(MetricOptions{});
-  const std::size_t n = s.metric->n();
+  const SnapshotStack s = geometric_stack(MetricOptions{});
+  const std::size_t n = s.n;
 
   const std::string path = temp_path("cr_rowfree_subset.snap");
   SnapshotStreamWriter writer(path);
@@ -247,8 +210,8 @@ TEST(RowFreeBuild, SubsetSnapshotRoundTripsAbsentSchemes) {
 TEST(RowFreeBuild, SubsetSnapshotRejectsMissingDependencies) {
   WorkerGuard guard;
   Executor::global().set_workers(2);
-  const BuiltStack s = build_stack(MetricOptions{});
-  const std::size_t n = s.metric->n();
+  const SnapshotStack s = geometric_stack(MetricOptions{});
+  const std::size_t n = s.n;
 
   // ni-simple without labeled-hierarchical is unserveable.
   {
@@ -283,22 +246,21 @@ TEST(RowFreeBuild, SubsetSnapshotRejectsMissingDependencies) {
   }
 }
 
-// A half-written stream (no finish()) must not decode: the placeholder
-// header has no magic, so a crashed build can never be mistaken for a
-// valid snapshot.
+// A half-written stream (no finish()) must not leave a loadable snapshot at
+// its path, so a crashed build can never be mistaken for a valid one.
 TEST(RowFreeBuild, UnfinishedStreamIsNotLoadable) {
   WorkerGuard guard;
   Executor::global().set_workers(2);
-  const BuiltStack s = build_stack(MetricOptions{});
+  const SnapshotStack s = geometric_stack(MetricOptions{});
   const std::string path = temp_path("cr_rowfree_unfinished.snap");
   {
     SnapshotStreamWriter writer(path);
     writer.add_meta(*s.metric, kEps);
     writer.add_graph(*s.metric);
-    // Destroyed without finish(): the zeroed placeholder header stays.
+    // Destroyed without finish(): the sections went to a temporary that is
+    // never renamed over `path`.
   }
-  const std::vector<std::uint8_t> bytes = read_snapshot_file(path);
-  EXPECT_THROW((void)decode_snapshot(bytes), SnapshotError);
+  EXPECT_THROW((void)load_snapshot_file(path), SnapshotError);
 }
 
 }  // namespace

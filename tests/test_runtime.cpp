@@ -5,13 +5,7 @@
 
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
-#include "graph/metric.hpp"
-#include "labeled/hierarchical_labeled.hpp"
-#include "labeled/scale_free_labeled.hpp"
-#include "nameind/scale_free_nameind.hpp"
-#include "nameind/simple_nameind.hpp"
-#include "nets/rnet.hpp"
-#include "routing/naming.hpp"
+#include "io/snapshot.hpp"
 #include "routing/simulator.hpp"
 #include "runtime/hop_hierarchical.hpp"
 #include "runtime/hop_scale_free.hpp"
@@ -25,23 +19,10 @@ namespace {
 
 using testing::small_graph_zoo;
 
-struct Fixture {
-  explicit Fixture(const Graph& graph, double eps = 0.5)
-      : metric(graph),
-        hierarchy(metric),
-        naming(Naming::random(metric.n(), 31)),
-        hier(metric, hierarchy, eps),
-        sf(metric, hierarchy, eps),
-        simple(metric, hierarchy, naming, hier, eps),
-        sfni(metric, hierarchy, naming, sf, eps) {}
-  MetricSpace metric;
-  NetHierarchy hierarchy;
-  Naming naming;
-  HierarchicalLabeledScheme hier;
-  ScaleFreeLabeledScheme sf;
-  SimpleNameIndependentScheme simple;
-  ScaleFreeNameIndependentScheme sfni;
-};
+/// The four-scheme stack over `graph` with this file's naming seed.
+SnapshotStack stack_of(const Graph& graph, double eps = 0.5) {
+  return build_stack(graph, eps, {}, Naming::random(graph.num_nodes(), 31));
+}
 
 void expect_edge_path(const MetricSpace& metric, const Path& path) {
   for (std::size_t i = 1; i < path.size(); ++i) {
@@ -55,24 +36,24 @@ class HopZooTest : public ::testing::TestWithParam<int> {
   void SetUp() override {
     const auto zoo = small_graph_zoo();
     graph_name_ = zoo[GetParam()].name;
-    fixture_ = std::make_unique<Fixture>(zoo[GetParam()].graph);
+    fixture_ = std::make_unique<SnapshotStack>(stack_of(zoo[GetParam()].graph));
   }
   std::string graph_name_;
-  std::unique_ptr<Fixture> fixture_;
+  std::unique_ptr<SnapshotStack> fixture_;
 };
 
 TEST_P(HopZooTest, HierarchicalHopMatchesMonolithicRoute) {
   SCOPED_TRACE(graph_name_);
-  const HierarchicalHopScheme hop(fixture_->hier);
+  const HierarchicalHopScheme hop(*fixture_->hier);
   Prng prng(1);
   for (int trial = 0; trial < 150; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(fixture_->metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(fixture_->metric.n()));
+    const NodeId u = static_cast<NodeId>(prng.next_below(fixture_->n));
+    const NodeId v = static_cast<NodeId>(prng.next_below(fixture_->n));
     const HopRun run =
-        execute_hops(fixture_->metric, hop, u, fixture_->hier.label(v));
+        execute_hops(*fixture_->metric, hop, u, fixture_->hier->label(v));
     ASSERT_TRUE(run.delivered);
-    expect_edge_path(fixture_->metric, run.path);
-    const RouteResult reference = fixture_->hier.route(u, fixture_->hier.label(v));
+    expect_edge_path(*fixture_->metric, run.path);
+    const RouteResult reference = fixture_->hier->route(u, fixture_->hier->label(v));
     EXPECT_EQ(run.path, reference.path)
         << "hop-by-hop must replay the monolithic walk exactly";
   }
@@ -80,63 +61,63 @@ TEST_P(HopZooTest, HierarchicalHopMatchesMonolithicRoute) {
 
 TEST_P(HopZooTest, ScaleFreeHopDeliversWithGraphEdgesOnly) {
   SCOPED_TRACE(graph_name_);
-  const ScaleFreeHopScheme hop(fixture_->sf);
+  const ScaleFreeHopScheme hop(*fixture_->sf);
   Prng prng(2);
   for (int trial = 0; trial < 120; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(fixture_->metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(fixture_->metric.n()));
-    const HopRun run = execute_hops(fixture_->metric, hop, u, fixture_->sf.label(v));
+    const NodeId u = static_cast<NodeId>(prng.next_below(fixture_->n));
+    const NodeId v = static_cast<NodeId>(prng.next_below(fixture_->n));
+    const HopRun run = execute_hops(*fixture_->metric, hop, u, fixture_->sf->label(v));
     ASSERT_TRUE(run.delivered);
     ASSERT_EQ(run.path.back(), v);
-    expect_edge_path(fixture_->metric, run.path);
+    expect_edge_path(*fixture_->metric, run.path);
 
     // Both walks ride virtual search edges along canonical shortest paths
     // and check delivery at every relay, so they charge the same cost.
-    const RouteResult reference = fixture_->sf.route(u, fixture_->sf.label(v));
+    const RouteResult reference = fixture_->sf->route(u, fixture_->sf->label(v));
     EXPECT_NEAR(run.cost, reference.cost, 1e-6 * (1 + reference.cost));
-    EXPECT_GE(run.cost + 1e-9, fixture_->metric.dist(u, v));
+    EXPECT_GE(run.cost + 1e-9, fixture_->metric->dist(u, v));
   }
 }
 
 TEST_P(HopZooTest, SimpleNameIndependentHopDelivers) {
   SCOPED_TRACE(graph_name_);
-  const SimpleNameIndependentHopScheme hop(fixture_->simple, fixture_->hier);
+  const SimpleNameIndependentHopScheme hop(*fixture_->simple, *fixture_->hier);
   Prng prng(3);
   for (int trial = 0; trial < 80; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(fixture_->metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(fixture_->metric.n()));
+    const NodeId u = static_cast<NodeId>(prng.next_below(fixture_->n));
+    const NodeId v = static_cast<NodeId>(prng.next_below(fixture_->n));
     const HopRun run =
-        execute_hops(fixture_->metric, hop, u, fixture_->naming.name_of(v));
+        execute_hops(*fixture_->metric, hop, u, fixture_->naming->name_of(v));
     ASSERT_TRUE(run.delivered);
     ASSERT_EQ(run.path.back(), v);
-    expect_edge_path(fixture_->metric, run.path);
+    expect_edge_path(*fixture_->metric, run.path);
 
     const RouteResult reference =
-        fixture_->simple.route(u, fixture_->naming.name_of(v));
+        fixture_->simple->route(u, fixture_->naming->name_of(v));
     EXPECT_NEAR(run.cost, reference.cost, 1e-6 * (1 + reference.cost));
   }
 }
 
 TEST_P(HopZooTest, ScaleFreeNameIndependentHopDelivers) {
   SCOPED_TRACE(graph_name_);
-  const ScaleFreeNameIndependentHopScheme hop(fixture_->sfni, fixture_->sf);
+  const ScaleFreeNameIndependentHopScheme hop(*fixture_->sfni, *fixture_->sf);
   Prng prng(7);
   for (int trial = 0; trial < 60; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(fixture_->metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(fixture_->metric.n()));
+    const NodeId u = static_cast<NodeId>(prng.next_below(fixture_->n));
+    const NodeId v = static_cast<NodeId>(prng.next_below(fixture_->n));
     const HopRun run =
-        execute_hops(fixture_->metric, hop, u, fixture_->naming.name_of(v));
+        execute_hops(*fixture_->metric, hop, u, fixture_->naming->name_of(v));
     ASSERT_TRUE(run.delivered);
     ASSERT_EQ(run.path.back(), v);
-    expect_edge_path(fixture_->metric, run.path);
+    expect_edge_path(*fixture_->metric, run.path);
 
     // The monolithic route checks delivery at every relay too, so both walks
     // charge the same cost, and neither beats the true distance.
     const RouteResult reference =
-        fixture_->sfni.route(u, fixture_->naming.name_of(v));
+        fixture_->sfni->route(u, fixture_->naming->name_of(v));
     EXPECT_NEAR(run.cost, reference.cost, 1e-6 * (1 + reference.cost));
     if (u != v) {
-      EXPECT_GE(run.cost + 1e-9, fixture_->metric.dist(u, v));
+      EXPECT_GE(run.cost + 1e-9, fixture_->metric->dist(u, v));
     }
   }
 }
@@ -147,21 +128,21 @@ INSTANTIATE_TEST_SUITE_P(Zoo, HopZooTest, ::testing::Range(0, 12),
                          });
 
 TEST(HopRuntime, HeaderBitsStayPolylog) {
-  const Fixture f(make_random_geometric(120, 2, 4, 61));
-  const ScaleFreeHopScheme sf_hop(f.sf);
-  const SimpleNameIndependentHopScheme ni_hop(f.simple, f.hier);
+  const SnapshotStack f = stack_of(make_random_geometric(120, 2, 4, 61));
+  const ScaleFreeHopScheme sf_hop(*f.sf);
+  const SimpleNameIndependentHopScheme ni_hop(*f.simple, *f.hier);
   Prng prng(4);
   std::size_t worst_sf = 0, worst_ni = 0;
   for (int trial = 0; trial < 200; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(f.metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(f.metric.n()));
+    const NodeId u = static_cast<NodeId>(prng.next_below(f.n));
+    const NodeId v = static_cast<NodeId>(prng.next_below(f.n));
     worst_sf = std::max(
-        worst_sf, execute_hops(f.metric, sf_hop, u, f.sf.label(v)).max_header_bits);
+        worst_sf, execute_hops(*f.metric, sf_hop, u, f.sf->label(v)).max_header_bits);
     worst_ni = std::max(
         worst_ni,
-        execute_hops(f.metric, ni_hop, u, f.naming.name_of(v)).max_header_bits);
+        execute_hops(*f.metric, ni_hop, u, f.naming->name_of(v)).max_header_bits);
   }
-  const double log_n = std::log2(static_cast<double>(f.metric.n()));
+  const double log_n = std::log2(static_cast<double>(f.n));
   EXPECT_LE(worst_sf, static_cast<std::size_t>(12 * log_n * log_n));
   EXPECT_LE(worst_ni, static_cast<std::size_t>(12 * log_n * log_n));
 }
@@ -170,17 +151,17 @@ TEST(HopRuntime, WalkCostMatchesStretchBound) {
   // End-to-end stretch measured on the strict executor (not just on the
   // monolithic simulator): the paper's guarantees must survive the honest
   // forwarding model.
-  const Fixture f(make_random_geometric(150, 2, 5, 71), 0.25);
-  const ScaleFreeHopScheme hop(f.sf);
+  const SnapshotStack f = stack_of(make_random_geometric(150, 2, 5, 71), 0.25);
+  const ScaleFreeHopScheme hop(*f.sf);
   Prng prng(5);
   double worst = 0;
   for (int trial = 0; trial < 400; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(f.metric.n()));
-    NodeId v = static_cast<NodeId>(prng.next_below(f.metric.n() - 1));
+    const NodeId u = static_cast<NodeId>(prng.next_below(f.n));
+    NodeId v = static_cast<NodeId>(prng.next_below(f.n - 1));
     if (v >= u) ++v;
-    const HopRun run = execute_hops(f.metric, hop, u, f.sf.label(v));
+    const HopRun run = execute_hops(*f.metric, hop, u, f.sf->label(v));
     ASSERT_TRUE(run.delivered);
-    worst = std::max(worst, run.cost / f.metric.dist(u, v));
+    worst = std::max(worst, run.cost / f.metric->dist(u, v));
   }
   EXPECT_LE(worst, 1.0 + 40 * 0.25);
 }
@@ -228,43 +209,43 @@ TEST(HopRuntime, ExecutorEnforcesHopBudget) {
 TEST(HopRuntime, ScaleFreeNameIndependentOnDeepSpider) {
   // The full Theorem 1.1 stack, hop by hop, on a log Delta >> log n instance
   // where searches are delegated to packed-ball trees.
-  const Fixture f(make_exponential_spider(16, 4), 0.5);
-  const ScaleFreeNameIndependentHopScheme hop(f.sfni, f.sf);
+  const SnapshotStack f = stack_of(make_exponential_spider(16, 4), 0.5);
+  const ScaleFreeNameIndependentHopScheme hop(*f.sfni, *f.sf);
   Prng prng(8);
   for (int trial = 0; trial < 120; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(f.metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(f.metric.n()));
-    const HopRun run = execute_hops(f.metric, hop, u, f.naming.name_of(v));
+    const NodeId u = static_cast<NodeId>(prng.next_below(f.n));
+    const NodeId v = static_cast<NodeId>(prng.next_below(f.n));
+    const HopRun run = execute_hops(*f.metric, hop, u, f.naming->name_of(v));
     ASSERT_TRUE(run.delivered);
     ASSERT_EQ(run.path.back(), v);
   }
 }
 
 TEST(HopRuntime, NestedHeaderBitsAreAccounted) {
-  const Fixture f(make_random_geometric(100, 2, 4, 91));
-  const ScaleFreeNameIndependentHopScheme hop(f.sfni, f.sf);
+  const SnapshotStack f = stack_of(make_random_geometric(100, 2, 4, 91));
+  const ScaleFreeNameIndependentHopScheme hop(*f.sfni, *f.sf);
   Prng prng(9);
   const NodeId u = 3, v = 77;
-  const HopRun run = execute_hops(f.metric, hop, u, f.naming.name_of(v));
+  const HopRun run = execute_hops(*f.metric, hop, u, f.naming->name_of(v));
   ASSERT_TRUE(run.delivered);
   // The layered header must cost more than a bare one but stay polylog.
   HopHeader bare;
   EXPECT_GT(run.max_header_bits,
-            bare.encoded_bits(f.metric.n(), f.metric.num_levels()));
-  const double log_n = std::log2(static_cast<double>(f.metric.n()));
+            bare.encoded_bits(f.n, f.metric->num_levels()));
+  const double log_n = std::log2(static_cast<double>(f.n));
   EXPECT_LE(run.max_header_bits, static_cast<std::size_t>(20 * log_n * log_n));
 }
 
 TEST(HopRuntime, DeepSpiderExercisesHandoffPhases) {
   // log Delta >> log n: the scale-free hop machine must traverse its
   // TO_CENTER / SEARCH / RETURN / TO_DEST phases and still deliver.
-  const Fixture f(make_exponential_spider(20, 4), 0.25);
-  const ScaleFreeHopScheme hop(f.sf);
+  const SnapshotStack f = stack_of(make_exponential_spider(20, 4), 0.25);
+  const ScaleFreeHopScheme hop(*f.sf);
   Prng prng(6);
   for (int trial = 0; trial < 200; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(f.metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(f.metric.n()));
-    const HopRun run = execute_hops(f.metric, hop, u, f.sf.label(v));
+    const NodeId u = static_cast<NodeId>(prng.next_below(f.n));
+    const NodeId v = static_cast<NodeId>(prng.next_below(f.n));
+    const HopRun run = execute_hops(*f.metric, hop, u, f.sf->label(v));
     ASSERT_TRUE(run.delivered);
     ASSERT_EQ(run.path.back(), v);
   }

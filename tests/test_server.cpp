@@ -34,14 +34,7 @@
 #include "core/parallel.hpp"
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
-#include "graph/metric.hpp"
 #include "io/snapshot.hpp"
-#include "labeled/hierarchical_labeled.hpp"
-#include "labeled/scale_free_labeled.hpp"
-#include "nameind/scale_free_nameind.hpp"
-#include "nameind/simple_nameind.hpp"
-#include "nets/rnet.hpp"
-#include "routing/naming.hpp"
 #include "runtime/server.hpp"
 
 namespace compactroute {
@@ -49,29 +42,17 @@ namespace {
 
 constexpr double kEps = 0.5;
 
-std::vector<std::uint8_t> encode_stack(const Graph& g) {
-  MetricSpace metric(g);
-  NetHierarchy hierarchy(metric);
-  Naming naming = Naming::random(metric.n(), 4242);
-  HierarchicalLabeledScheme hier(metric, hierarchy, kEps);
-  ScaleFreeLabeledScheme sf(metric, hierarchy, kEps);
-  SimpleNameIndependentScheme simple(metric, hierarchy, naming, hier, kEps);
-  ScaleFreeNameIndependentScheme sfni(metric, hierarchy, naming, sf, kEps);
-  return encode_snapshot(metric, kEps, hierarchy, naming, hier, sf, simple,
-                         sfni);
-}
-
 /// Two snapshots over the SAME node-id space (n = 64) but different
 /// topologies, so most requests route differently — a response fingerprint
 /// identifies which epoch served it.
 const std::vector<std::uint8_t>& bytes_a() {
   static const auto* b = new std::vector<std::uint8_t>(
-      encode_stack(make_grid(8, 8)));
+      encode_snapshot(build_stack(make_grid(8, 8), kEps)));
   return *b;
 }
 const std::vector<std::uint8_t>& bytes_b() {
   static const auto* b = new std::vector<std::uint8_t>(
-      encode_stack(make_grid(16, 4)));
+      encode_snapshot(build_stack(make_grid(16, 4), kEps)));
   return *b;
 }
 
@@ -144,8 +125,8 @@ TEST(Server, EpochHotSwapSoak) {
     const auto ea = make_epoch(0);
     const auto eb = make_epoch(1);
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      golden_a[i] = ea->serve(requests[i], 0, nullptr);
-      golden_b[i] = eb->serve(requests[i], 0, nullptr);
+      golden_a[i] = ea->serve(requests[i], nullptr);
+      golden_b[i] = eb->serve(requests[i], nullptr);
       if (golden_a[i] != golden_b[i]) ++discriminating;
     }
   }
@@ -271,7 +252,7 @@ TEST(Server, SheddingIsDeterministicAndShedSlotsStayUntouched) {
       if (out.accepted[i]) {
         EXPECT_EQ(results[i].status.load(), ServeStatus::kDelivered);
         EXPECT_EQ(results[i].fingerprint,
-                  epoch->serve(requests[i], 0, nullptr));
+                  epoch->serve(requests[i], nullptr));
       } else {
         EXPECT_EQ(results[i].status.load(), ServeStatus::kPending);
         EXPECT_EQ(results[i].fingerprint, 0u);
@@ -411,7 +392,7 @@ TEST(ServerEpoch, LoadedEpochOutlivesItsFile) {
   for (std::size_t i = 0; i < requests.size(); ++i) {
     ASSERT_EQ(results[i].status.load(), ServeStatus::kDelivered);
     EXPECT_EQ(results[i].fingerprint,
-              reference->serve(requests[i], 0, nullptr));
+              reference->serve(requests[i], nullptr));
   }
   std::remove(path.c_str());
 }

@@ -9,12 +9,6 @@
 #include "gen/generators.hpp"
 #include "graph/metric.hpp"
 #include "io/snapshot.hpp"
-#include "labeled/hierarchical_labeled.hpp"
-#include "labeled/scale_free_labeled.hpp"
-#include "nameind/scale_free_nameind.hpp"
-#include "nameind/simple_nameind.hpp"
-#include "nets/rnet.hpp"
-#include "routing/naming.hpp"
 #include "runtime/hop_hierarchical.hpp"
 #include "runtime/serve.hpp"
 
@@ -23,49 +17,18 @@ namespace {
 
 constexpr double kEps = 0.5;
 
-MetricOptions options_for(MetricBackendKind backend) {
-  MetricOptions options;
-  options.backend = backend;
-  return options;
+/// The fixture stack: `graph` at kEps under `backend`, default naming.
+SnapshotStack fresh_stack(const Graph& graph, MetricBackendKind backend) {
+  return build_stack(graph, kEps, {.backend = backend});
 }
-
-/// The same construction recipe crtool's Stack uses (labeled schemes clamp
-/// ε to 0.5; the NI schemes take it raw).
-struct FreshStack {
-  FreshStack(Graph g, double eps, MetricBackendKind backend)
-      : graph(std::move(g)),
-        metric(graph, options_for(backend)),
-        hierarchy(metric),
-        naming(Naming::random(metric.n(), 4242)),
-        hier(metric, hierarchy, std::min(eps, 0.5)),
-        sf(metric, hierarchy, std::min(eps, 0.5)),
-        simple(metric, hierarchy, naming, hier, eps),
-        sfni(metric, hierarchy, naming, sf, eps) {}
-
-  std::vector<std::uint8_t> encode() const {
-    return encode_snapshot(metric, kEps, hierarchy, naming, hier, sf, simple,
-                           sfni);
-  }
-
-  Graph graph;
-  MetricSpace metric;
-  NetHierarchy hierarchy;
-  Naming naming;
-  HierarchicalLabeledScheme hier;
-  ScaleFreeLabeledScheme sf;
-  SimpleNameIndependentScheme simple;
-  ScaleFreeNameIndependentScheme sfni;
-};
 
 /// Save → load → serve fingerprints equal to the fresh build, for all four
 /// schemes, plus the full corruption battery — one (backend, workers) cell of
 /// the acceptance matrix.
 void run_roundtrip(MetricBackendKind backend, std::size_t workers) {
   Executor::global().set_workers(workers);
-  const FreshStack stack(make_grid(8, 8), kEps, backend);
   const audit::Report report = audit::audit_snapshot_roundtrip(
-      stack.metric, stack.hierarchy, stack.naming, stack.hier, stack.sf,
-      stack.simple, stack.sfni, kEps, audit::Options{});
+      fresh_stack(make_grid(8, 8), backend), audit::Options{});
   EXPECT_GT(report.checks, 40u);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
@@ -85,20 +48,20 @@ TEST(SnapshotRoundTrip, RowFreeFourWorkers) {
 
 TEST(SnapshotRoundTrip, EncodeIsWorkerCountAndBackendInvariant) {
   Executor::global().set_workers(1);
-  const std::vector<std::uint8_t> serial =
-      FreshStack(make_grid(7, 9), kEps, MetricBackendKind::kDense).encode();
+  const std::vector<std::uint8_t> serial = encode_snapshot(
+      fresh_stack(make_grid(7, 9), MetricBackendKind::kDense));
   Executor::global().set_workers(4);
-  const std::vector<std::uint8_t> parallel =
-      FreshStack(make_grid(7, 9), kEps, MetricBackendKind::kDense).encode();
-  const std::vector<std::uint8_t> rowfree =
-      FreshStack(make_grid(7, 9), kEps, MetricBackendKind::kRowFree).encode();
+  const std::vector<std::uint8_t> parallel = encode_snapshot(
+      fresh_stack(make_grid(7, 9), MetricBackendKind::kDense));
+  const std::vector<std::uint8_t> rowfree = encode_snapshot(
+      fresh_stack(make_grid(7, 9), MetricBackendKind::kRowFree));
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial, rowfree);
 }
 
 TEST(SnapshotRoundTrip, DirectoryListsAllEightSections) {
-  const FreshStack stack(make_grid(6, 6), kEps, MetricBackendKind::kDense);
-  const std::vector<std::uint8_t> bytes = stack.encode();
+  const std::vector<std::uint8_t> bytes = encode_snapshot(
+      fresh_stack(make_grid(6, 6), MetricBackendKind::kDense));
   const auto sections = snapshot_directory(bytes);
   ASSERT_EQ(sections.size(), 8u);
   for (std::size_t i = 0; i < sections.size(); ++i) {
@@ -110,26 +73,60 @@ TEST(SnapshotRoundTrip, DirectoryListsAllEightSections) {
 }
 
 TEST(SnapshotRoundTrip, MetaSurvives) {
-  const FreshStack stack(make_grid(6, 6), kEps, MetricBackendKind::kDense);
-  const SnapshotStack loaded = decode_snapshot(stack.encode());
-  EXPECT_EQ(loaded.n, stack.metric.n());
+  const SnapshotStack stack =
+      fresh_stack(make_grid(6, 6), MetricBackendKind::kDense);
+  const SnapshotStack loaded = decode_snapshot(encode_snapshot(stack));
+  EXPECT_EQ(loaded.metric, nullptr);
+  EXPECT_EQ(loaded.n, stack.metric->n());
   EXPECT_EQ(loaded.epsilon, kEps);
-  EXPECT_EQ(loaded.num_levels, stack.metric.num_levels());
+  EXPECT_EQ(loaded.num_levels, stack.metric->num_levels());
   EXPECT_EQ(loaded.graph.num_edges(), stack.graph.num_edges());
   for (NodeId v = 0; v < loaded.n; ++v) {
-    EXPECT_EQ(loaded.naming->name_of(v), stack.naming.name_of(v));
-    EXPECT_EQ(loaded.hierarchy->leaf_label(v), stack.hierarchy.leaf_label(v));
+    EXPECT_EQ(loaded.naming->name_of(v), stack.naming->name_of(v));
+    EXPECT_EQ(loaded.hierarchy->leaf_label(v), stack.hierarchy->leaf_label(v));
   }
 }
 
+// A decoded stack re-encodes to the file it came from, section for section:
+// decode restores every byte the encoder reads.
+TEST(SnapshotRoundTrip, ReencodeOfDecodedStackReproducesFile) {
+  for (const MetricBackendKind backend :
+       {MetricBackendKind::kDense, MetricBackendKind::kRowFree}) {
+    const std::vector<std::uint8_t> bytes =
+        encode_snapshot(fresh_stack(make_grid(8, 8), backend));
+    const std::vector<std::uint8_t> again =
+        encode_snapshot(decode_snapshot(bytes));
+    const auto sections = snapshot_directory(bytes);
+    const auto sections_again = snapshot_directory(again);
+    ASSERT_EQ(sections.size(), sections_again.size());
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+      EXPECT_EQ(sections[i].size, sections_again[i].size) << sections[i].name;
+      EXPECT_EQ(sections[i].crc, sections_again[i].crc) << sections[i].name;
+    }
+    EXPECT_TRUE(bytes == again);
+  }
+}
+
+// The labeled schemes require ε ≤ 1/2: above it build_stack clamps their ε
+// and hands the raw value to the name-independent schemes and the meta.
+TEST(SnapshotRoundTrip, BuildStackClampsOnlyTheLabeledEpsilon) {
+  const SnapshotStack stack = build_stack(make_grid(6, 6), 0.75);
+  EXPECT_EQ(stack.hier->epsilon(), 0.5);
+  EXPECT_EQ(stack.sf->epsilon(), 0.5);
+  EXPECT_EQ(stack.simple->epsilon(), 0.75);
+  EXPECT_EQ(stack.sfni->epsilon(), 0.75);
+  EXPECT_EQ(stack.epsilon, 0.75);
+  EXPECT_EQ(decode_snapshot(encode_snapshot(stack)).epsilon, 0.75);
+}
+
 TEST(SnapshotRoundTrip, FileRoundTrip) {
-  const FreshStack stack(make_grid(6, 6), kEps, MetricBackendKind::kDense);
-  const std::vector<std::uint8_t> bytes = stack.encode();
+  const std::vector<std::uint8_t> bytes = encode_snapshot(
+      fresh_stack(make_grid(6, 6), MetricBackendKind::kDense));
   const std::string path = ::testing::TempDir() + "cr_test_snapshot.snap";
   write_snapshot_file(path, bytes);
   EXPECT_EQ(read_snapshot_file(path), bytes);
   const SnapshotStack loaded = load_snapshot_file(path);
-  EXPECT_EQ(loaded.n, stack.metric.n());
+  EXPECT_EQ(loaded.n, 36u);
   std::remove(path.c_str());
   EXPECT_THROW(read_snapshot_file(path), SnapshotError);
 }
@@ -139,8 +136,8 @@ TEST(SnapshotRoundTrip, FileRoundTrip) {
 // audit battery repeats this inside run_roundtrip, but this spells out the
 // exact mutation set the ASan/UBSan CI job runs).
 TEST(SnapshotFuzz, TruncationAtEveryBoundaryIsRejected) {
-  const FreshStack stack(make_grid(6, 6), kEps, MetricBackendKind::kDense);
-  const std::vector<std::uint8_t> bytes = stack.encode();
+  const std::vector<std::uint8_t> bytes = encode_snapshot(
+      fresh_stack(make_grid(6, 6), MetricBackendKind::kDense));
   std::vector<std::size_t> cuts = {0, 1, 7, 8, 12, 19, 20,
                                    bytes.size() - 1};
   for (const SnapshotSection& s : snapshot_directory(bytes)) {
@@ -157,8 +154,8 @@ TEST(SnapshotFuzz, TruncationAtEveryBoundaryIsRejected) {
 }
 
 TEST(SnapshotFuzz, ByteFlipInEverySectionIsRejected) {
-  const FreshStack stack(make_grid(6, 6), kEps, MetricBackendKind::kDense);
-  const std::vector<std::uint8_t> bytes = stack.encode();
+  const std::vector<std::uint8_t> bytes = encode_snapshot(
+      fresh_stack(make_grid(6, 6), MetricBackendKind::kDense));
   std::vector<std::size_t> positions = {0, 9, 13, 17, 21};  // header + dir
   for (const SnapshotSection& s : snapshot_directory(bytes)) {
     positions.push_back(static_cast<std::size_t>(s.offset));
@@ -188,8 +185,8 @@ TEST(SnapshotFuzz, EmptyAndGarbageInputsAreRejected) {
 }
 
 TEST(SnapshotServe, LoadedStackServesWithoutMetric) {
-  const FreshStack stack(make_grid(8, 8), kEps, MetricBackendKind::kDense);
-  const SnapshotStack loaded = decode_snapshot(stack.encode());
+  const SnapshotStack loaded = decode_snapshot(
+      encode_snapshot(fresh_stack(make_grid(8, 8), MetricBackendKind::kDense)));
   // The loaded schemes carry no metric backend at all; routing runs purely
   // on restored tables.
   const HierarchicalHopScheme hop(*loaded.hier);

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -26,12 +27,6 @@
 #include "graph/metric.hpp"
 #include "io/snapshot.hpp"
 #include "io/snapshot_mmap.hpp"
-#include "labeled/hierarchical_labeled.hpp"
-#include "labeled/scale_free_labeled.hpp"
-#include "nameind/scale_free_nameind.hpp"
-#include "nameind/simple_nameind.hpp"
-#include "nets/rnet.hpp"
-#include "routing/naming.hpp"
 #include "runtime/hop_hierarchical.hpp"
 #include "runtime/serve.hpp"
 
@@ -63,27 +58,8 @@ struct ScratchFile {
 
 /// One fresh 8x8-grid stack, encoded once, shared by every test in this file.
 struct Fixture {
-  Fixture()
-      : graph(make_grid(8, 8)),
-        metric(graph),
-        hierarchy(metric),
-        naming(Naming::random(metric.n(), 4242)),
-        hier(metric, hierarchy, kEps),
-        sf(metric, hierarchy, kEps),
-        simple(metric, hierarchy, naming, hier, kEps),
-        sfni(metric, hierarchy, naming, sf, kEps),
-        bytes(encode_snapshot(metric, kEps, hierarchy, naming, hier, sf,
-                              simple, sfni)) {}
-
-  Graph graph;
-  MetricSpace metric;
-  NetHierarchy hierarchy;
-  Naming naming;
-  HierarchicalLabeledScheme hier;
-  ScaleFreeLabeledScheme sf;
-  SimpleNameIndependentScheme simple;
-  ScaleFreeNameIndependentScheme sfni;
-  std::vector<std::uint8_t> bytes;
+  SnapshotStack stack = build_stack(make_grid(8, 8), kEps);
+  std::vector<std::uint8_t> bytes = encode_snapshot(stack);
 };
 
 const Fixture& fixture() {
@@ -119,9 +95,8 @@ void run_golden_equivalence(std::size_t workers) {
   expect_equal_fingerprints(vec_fp, map_fp);
 
   // And both match the fresh build — mmap did not trade fidelity for speed.
-  const audit::ServeFingerprints fresh_fp = audit::serve_fingerprints(
-      f.metric.csr(), f.hierarchy, f.naming, f.hier, f.sf, f.simple, f.sfni,
-      kFingerprintRequests, kSeed);
+  const audit::ServeFingerprints fresh_fp =
+      audit::serve_fingerprints(f.stack, kFingerprintRequests, kSeed);
   expect_equal_fingerprints(fresh_fp, map_fp);
 }
 
@@ -144,7 +119,7 @@ TEST(SnapshotMmap, MappedSpanMatchesFileBytes) {
   // destructor must not double-unmap (ASan would catch it).
   MappedSnapshot moved(std::move(mapped));
   EXPECT_EQ(moved.size(), f.bytes.size());
-  EXPECT_EQ(moved.decode().n, f.metric.n());
+  EXPECT_EQ(moved.decode().n, f.stack.n);
 }
 
 /// The full corruption battery — every mutant written to disk and pushed
@@ -165,23 +140,23 @@ TEST(SnapshotMmap, CorruptionBattery) {
 /// must restore them as absent and keep the present schemes fully serving.
 TEST(SnapshotMmap, SubsetSnapshotZeroLengthSections) {
   Executor::global().set_workers(1);
-  const Fixture& f = fixture();
+  const SnapshotStack& s = fixture().stack;
   ScratchFile snap;
   {
     SnapshotStreamWriter writer(snap.path);
-    writer.add_meta(f.metric, kEps);
-    writer.add_graph(f.metric);
-    writer.add_hierarchy(f.hierarchy, f.metric.n());
-    writer.add_naming(f.naming, f.metric.n());
-    writer.add_hier(&f.hier, f.metric.n());
-    writer.add_scale_free(nullptr, f.metric.n());
-    writer.add_simple(&f.simple);
-    writer.add_sfni(nullptr, f.metric.n());
+    writer.add_meta(*s.metric, kEps);
+    writer.add_graph(*s.metric);
+    writer.add_hierarchy(*s.hierarchy, s.n);
+    writer.add_naming(*s.naming, s.n);
+    writer.add_hier(s.hier.get(), s.n);
+    writer.add_scale_free(nullptr, s.n);
+    writer.add_simple(s.simple.get());
+    writer.add_sfni(nullptr, s.n);
     writer.finish();
   }
 
   const SnapshotStack loaded = load_snapshot_mmap(snap.path);
-  EXPECT_EQ(loaded.n, f.metric.n());
+  EXPECT_EQ(loaded.n, s.n);
   EXPECT_NE(loaded.hier, nullptr);
   EXPECT_NE(loaded.simple, nullptr);
   EXPECT_EQ(loaded.sf, nullptr);
@@ -201,6 +176,27 @@ TEST(SnapshotMmap, SubsetSnapshotZeroLengthSections) {
   HierarchicalHopScheme hop_heap(*heap.hier, arena_heap);
   EXPECT_EQ(serve_batch(loaded.csr, hop_mmap, requests, fp_only).fingerprint,
             serve_batch(heap.csr, hop_heap, requests, fp_only).fingerprint);
+}
+
+/// Snapshot writes replace the file atomically (tmp, fsync, rename), so a
+/// live mapping of the old file keeps the old inode: rewriting the path with
+/// a smaller graph's snapshot cannot truncate the pages under the mapping.
+/// The decode runs in a child process, which an in-place rewrite would kill.
+TEST(SnapshotMmap, MappingSurvivesRewriteOfItsPath) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Fixture& f = fixture();
+  ScratchFile snap;
+  write_snapshot_file(snap.path, f.bytes);
+  const MappedSnapshot mapped(snap.path);
+  write_snapshot_file(snap.path,
+                      encode_snapshot(build_stack(make_grid(4, 4), kEps)));
+  ASSERT_LT(read_snapshot_file(snap.path).size(), f.bytes.size());
+  ASSERT_EXIT(
+      {
+        const SnapshotStack old = mapped.decode();
+        std::exit(old.n == f.stack.n ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(SnapshotMmap, MissingFileThrowsSnapshotError) {

@@ -11,11 +11,11 @@
 //                                               audit every paper invariant
 //   crtool build <graph> [eps] [options]        build the four-scheme stack:
 //                                               per-phase wall times + peak
-//                                               RSS; --out writes the
+//                                               RSS; --out streams the
 //                                               versioned binary snapshot,
-//                                               --stream streams sections to
-//                                               it as schemes complete
-//                                               (DESIGN.md §10)
+//                                               section by section as the
+//                                               schemes complete (DESIGN.md
+//                                               §10)
 //   crtool load-info <snap>                     snapshot header + section table
 //   crtool serve <snap> [options]               replay route batches against a
 //                                               loaded epoch (no metric)
@@ -131,11 +131,9 @@ namespace {
                "                       with no row storage\n"
                "\n"
                "build options:\n"
-               "  --out FILE           write the built stack as a snapshot\n"
-               "  --stream             stream each section to --out as its\n"
-               "                       scheme completes and free it, keeping\n"
-               "                       peak memory at the live component\n"
-               "                       (requires --out)\n"
+               "  --out FILE           write the built stack as a snapshot,\n"
+               "                       each section as its scheme completes\n"
+               "                       (the file is replaced atomically)\n"
                "  --schemes all|light  light = hierarchy + labeled-\n"
                "                       hierarchical + ni-simple only; the\n"
                "                       scale-free sections are written empty\n"
@@ -440,35 +438,11 @@ int cmd_info(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// The four-scheme stack built fresh from a graph, with the builders' ε
-/// clamp. `naming` defaults to the seeded naming `build` writes.
-struct Stack {
-  Stack(Graph g, double eps, const Naming* given_naming = nullptr)
-      : graph(std::move(g)),
-        metric(graph, g_metric_options),
-        hierarchy(metric),
-        naming(given_naming != nullptr ? *given_naming
-                                       : Naming::random(metric.n(), 4242)),
-        hier(metric, hierarchy, std::min(eps, 0.5)),
-        sf(metric, hierarchy, std::min(eps, 0.5)),
-        simple(metric, hierarchy, naming, hier, eps),
-        sfni(metric, hierarchy, naming, sf, eps) {}
-  Graph graph;
-  MetricSpace metric;
-  NetHierarchy hierarchy;
-  Naming naming;
-  HierarchicalLabeledScheme hier;
-  ScaleFreeLabeledScheme sf;
-  SimpleNameIndependentScheme simple;
-  ScaleFreeNameIndependentScheme sfni;
-};
-
-NodeId parse_node(const std::string& token, const MetricSpace& metric,
-                  const char* what) {
+NodeId parse_node(const std::string& token, std::size_t n, const char* what) {
   const std::uint64_t v = parse_u64(token, what);
-  if (v >= metric.n()) {
+  if (v >= n) {
     std::fprintf(stderr, "%s %llu out of range (n = %zu)\n\n", what,
-                 static_cast<unsigned long long>(v), metric.n());
+                 static_cast<unsigned long long>(v), n);
     usage();
   }
   return static_cast<NodeId>(v);
@@ -478,10 +452,11 @@ int cmd_route(const std::vector<std::string>& args) {
   if (args.size() < 3) usage();
   expect_at_most(args, 4);
   const double eps = arg_positive_double(args, 3, 0.5, "eps");
-  Stack stack(load_graph(args[0]), eps);
-  const NodeId src = parse_node(args[1], stack.metric, "src");
-  const NodeId dst = parse_node(args[2], stack.metric, "dst");
-  const Weight optimal = stack.metric.dist(src, dst);
+  const SnapshotStack stack =
+      build_stack(load_graph(args[0]), eps, g_metric_options);
+  const NodeId src = parse_node(args[1], stack.n, "src");
+  const NodeId dst = parse_node(args[2], stack.n, "dst");
+  const Weight optimal = stack.metric->dist(src, dst);
   std::printf("d(%u, %u) = %.6g   (eps = %.3f)\n\n", src, dst, optimal, eps);
   std::printf("%-26s %10s %10s %7s\n", "scheme", "cost", "stretch", "hops");
 
@@ -491,14 +466,14 @@ int cmd_route(const std::vector<std::string>& args) {
                 optimal > 0 ? r.cost / optimal : 1.0, r.path.size() - 1);
   };
   const auto report_ni = [&](const NameIndependentScheme& s) {
-    const RouteResult r = s.route(src, stack.naming.name_of(dst));
+    const RouteResult r = s.route(src, stack.naming->name_of(dst));
     std::printf("%-26s %10.6g %10.3f %7zu\n", s.name().c_str(), r.cost,
                 optimal > 0 ? r.cost / optimal : 1.0, r.path.size() - 1);
   };
-  report_labeled(stack.hier);
-  report_labeled(stack.sf);
-  report_ni(stack.simple);
-  report_ni(stack.sfni);
+  report_labeled(*stack.hier);
+  report_labeled(*stack.sf);
+  report_ni(*stack.simple);
+  report_ni(*stack.sfni);
   return 0;
 }
 
@@ -535,19 +510,21 @@ int cmd_trace(const std::vector<std::string>& args) {
   if (args.size() < 3) usage();
   expect_at_most(args, 5);
   const double eps = arg_positive_double(args, 3, 0.5, "eps");
-  Stack stack(load_graph(args[0]), eps);
-  const NodeId src = parse_node(args[1], stack.metric, "src");
-  const NodeId dst = parse_node(args[2], stack.metric, "dst");
-  const Weight optimal = stack.metric.dist(src, dst);
+  const SnapshotStack stack =
+      build_stack(load_graph(args[0]), eps, g_metric_options);
+  const MetricSpace& metric = *stack.metric;
+  const NodeId src = parse_node(args[1], stack.n, "src");
+  const NodeId dst = parse_node(args[2], stack.n, "dst");
+  const Weight optimal = metric.dist(src, dst);
   std::printf("trace %u -> %u   d = %.6g   (eps = %.3f, workers = %zu, "
               "metric = %s)\n\n",
               src, dst, optimal, eps, Executor::global().workers(),
-              stack.metric.backend_name());
+              metric.backend_name());
 
-  const HierarchicalHopScheme hop_hier(stack.hier);
-  const ScaleFreeHopScheme hop_sf(stack.sf);
-  const SimpleNameIndependentHopScheme hop_simple(stack.simple, stack.hier);
-  const ScaleFreeNameIndependentHopScheme hop_sfni(stack.sfni, stack.sf);
+  const HierarchicalHopScheme hop_hier(*stack.hier);
+  const ScaleFreeHopScheme hop_sf(*stack.sf);
+  const SimpleNameIndependentHopScheme hop_simple(*stack.simple, *stack.hier);
+  const ScaleFreeNameIndependentHopScheme hop_sfni(*stack.sfni, *stack.sf);
 
   obs::JsonValue doc = obs::JsonValue::object();
   doc["src"] = static_cast<std::uint64_t>(src);
@@ -557,7 +534,7 @@ int cmd_trace(const std::vector<std::string>& args) {
   doc["traces"] = obs::JsonValue::array();
 
   const auto run = [&](const HopScheme& scheme, std::uint64_t dest_key) {
-    const RouteResult r = hop_route(stack.metric, scheme, src, dest_key);
+    const RouteResult r = hop_route(metric, scheme, src, dest_key);
     std::printf("%s  (%zu hops, delivered=%s)\n", scheme.name().c_str(),
                 r.path.size() - 1, r.delivered ? "yes" : "NO");
     print_trace(r, optimal);
@@ -567,10 +544,10 @@ int cmd_trace(const std::vector<std::string>& args) {
     entry["stretch"] = optimal > 0 ? r.cost / optimal : 1.0;
     doc["traces"].push_back(std::move(entry));
   };
-  run(hop_hier, stack.hier.label(dst));
-  run(hop_sf, stack.sf.label(dst));
-  run(hop_simple, stack.naming.name_of(dst));
-  run(hop_sfni, stack.naming.name_of(dst));
+  run(hop_hier, stack.hier->label(dst));
+  run(hop_sf, stack.sf->label(dst));
+  run(hop_simple, stack.naming->name_of(dst));
+  run(hop_sfni, stack.naming->name_of(dst));
 
   if (args.size() > 4) {
     if (!write_output_file(args[4], doc.dump(2) + "\n")) return 1;
@@ -583,17 +560,20 @@ int cmd_eval(const std::vector<std::string>& args) {
   expect_at_most(args, 3);
   const std::size_t samples = arg_u64(args, 1, 2000, "samples");
   const double eps = arg_positive_double(args, 2, 0.5, "eps");
-  Stack stack(load_graph(args[0]), eps);
+  const SnapshotStack stack =
+      build_stack(load_graph(args[0]), eps, g_metric_options);
+  const MetricSpace& metric = *stack.metric;
+  const Naming& naming = *stack.naming;
   Prng prng(7);
 
   std::printf("eval: %zu samples, eps = %.3f, workers = %zu, metric = %s\n\n",
               samples, eps, Executor::global().workers(),
-              stack.metric.backend_name());
+              metric.backend_name());
   std::printf("%-26s %9s %9s %9s %12s %12s %8s\n", "scheme", "stretch",
               "avg-str", "p95-str", "max-bits", "avg-bits", "hdr-bits");
   const auto storage = [&](auto& s) {
-    std::vector<std::size_t> bits(stack.metric.n());
-    for (NodeId u = 0; u < stack.metric.n(); ++u) bits[u] = s.storage_bits(u);
+    std::vector<std::size_t> bits(stack.n);
+    for (NodeId u = 0; u < stack.n; ++u) bits[u] = s.storage_bits(u);
     return summarize_storage(bits);
   };
   const auto report = [&](auto& s, const StretchStats& stats) {
@@ -602,12 +582,12 @@ int cmd_eval(const std::vector<std::string>& args) {
                 stats.max_stretch, stats.avg_stretch(), stats.p95(), st.max_bits,
                 st.avg_bits, s.header_bits());
   };
-  report(stack.hier, evaluate_labeled(stack.hier, stack.metric, samples, prng));
-  report(stack.sf, evaluate_labeled(stack.sf, stack.metric, samples, prng));
-  report(stack.simple, evaluate_name_independent(stack.simple, stack.metric,
-                                                 stack.naming, samples, prng));
-  report(stack.sfni, evaluate_name_independent(stack.sfni, stack.metric,
-                                               stack.naming, samples, prng));
+  report(*stack.hier, evaluate_labeled(*stack.hier, metric, samples, prng));
+  report(*stack.sf, evaluate_labeled(*stack.sf, metric, samples, prng));
+  report(*stack.simple, evaluate_name_independent(*stack.simple, metric, naming,
+                                                  samples, prng));
+  report(*stack.sfni, evaluate_name_independent(*stack.sfni, metric, naming,
+                                                samples, prng));
   return 0;
 }
 
@@ -739,7 +719,6 @@ int cmd_audit(std::vector<std::string> args) {
 }
 
 int cmd_build(std::vector<std::string> args) {
-  bool stream = false;
   bool verify = false;
   std::string out_path;
   std::string schemes = "all";
@@ -749,9 +728,6 @@ int cmd_build(std::vector<std::string> args) {
       out_path = value;
     } else if (take_option(args, i, "--schemes", value)) {
       schemes = value;
-    } else if (args[i] == "--stream") {
-      stream = true;
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
     } else if (args[i] == "--verify") {
       verify = true;
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
@@ -764,10 +740,6 @@ int cmd_build(std::vector<std::string> args) {
   if (schemes != "all" && schemes != "light") {
     std::fprintf(stderr, "--schemes must be 'all' or 'light', got '%s'\n\n",
                  schemes.c_str());
-    usage();
-  }
-  if (stream && out_path.empty()) {
-    std::fprintf(stderr, "--stream requires --out (nowhere to stream to)\n\n");
     usage();
   }
   if (verify && out_path.empty()) {
@@ -799,12 +771,16 @@ int cmd_build(std::vector<std::string> args) {
   const std::size_t n = metric.n();
   lap("metric");
   std::printf("build: n = %zu, eps = %.3f, workers = %zu, metric = %s, "
-              "mode = %s, schemes = %s\n",
+              "schemes = %s\n",
               n, eps, Executor::global().workers(), metric.backend_name(),
-              stream ? "streaming" : "in-memory", schemes.c_str());
+              schemes.c_str());
 
+  // The build_stack recipe, run piecewise: with --out, each section is
+  // written as its scheme completes and the scheme is freed once nothing
+  // downstream reads it, so peak memory stays at the live components
+  // (DESIGN.md §10).
   const NetHierarchy hierarchy(metric);
-  const Naming naming = Naming::random(n, 4242);
+  const Naming naming = Naming::random(n, kStackNamingSeed);
   lap("hierarchy");
 
   std::unique_ptr<SnapshotStreamWriter> writer;
@@ -816,11 +792,11 @@ int cmd_build(std::vector<std::string> args) {
     writer->add_naming(naming, n);
   }
 
-  const double eps_labeled = std::min(eps, 0.5);
+  const double eps_labeled = labeled_epsilon(eps);
   auto hier = std::make_unique<HierarchicalLabeledScheme>(metric, hierarchy,
                                                           eps_labeled);
   lap("labeled.hier");
-  if (writer && stream) writer->add_hier(hier.get(), n);
+  if (writer) writer->add_hier(hier.get(), n);
 
   std::unique_ptr<ScaleFreeLabeledScheme> sf;
   if (all_schemes) {
@@ -828,25 +804,19 @@ int cmd_build(std::vector<std::string> args) {
                                                   eps_labeled);
     lap("labeled.sf");
   }
-  if (writer && stream) writer->add_scale_free(sf.get(), n);
+  if (writer) writer->add_scale_free(sf.get(), n);
 
-  std::unique_ptr<SimpleNameIndependentScheme> simple;
-  if (stream) {
-    // Streamed per level: each level's search trees are encoded and dropped
-    // before the next level is built, so only one level is ever alive.
-    writer->begin_simple(eps, hierarchy.top_level() + 1);
-    SimpleNameIndependentScheme::build_levels(
-        metric, hierarchy, naming, *hier, eps,
-        [&](int, std::vector<std::unique_ptr<SearchTree>> trees) {
-          writer->add_simple_level(trees);
-        });
-    writer->end_simple();
-  } else {
-    simple = std::make_unique<SimpleNameIndependentScheme>(metric, hierarchy,
-                                                           naming, *hier, eps);
-  }
+  // ni-simple goes out level by level: each level's search trees are encoded
+  // and dropped before the next level is built, so only one level is alive.
+  if (writer) writer->begin_simple(eps, hierarchy.top_level() + 1);
+  SimpleNameIndependentScheme::build_levels(
+      metric, hierarchy, naming, *hier, eps,
+      [&](int, std::vector<std::unique_ptr<SearchTree>> trees) {
+        if (writer) writer->add_simple_level(trees);
+      });
+  if (writer) writer->end_simple();
   lap("ni.simple");
-  if (stream) hier.reset();  // nothing downstream reads the labeled tables
+  hier.reset();  // nothing downstream reads the labeled tables
 
   std::unique_ptr<ScaleFreeNameIndependentScheme> sfni;
   if (all_schemes) {
@@ -854,18 +824,8 @@ int cmd_build(std::vector<std::string> args) {
                                                             naming, *sf, eps);
     lap("ni.sf");
   }
-  if (writer && stream) {
-    writer->add_sfni(sfni.get(), n);
-    sfni.reset();
-    sf.reset();
-  }
+  if (writer) writer->add_sfni(sfni.get(), n);
 
-  if (writer && !stream) {
-    writer->add_hier(hier.get(), n);
-    writer->add_scale_free(sf.get(), n);
-    writer->add_simple(simple.get());
-    writer->add_sfni(sfni.get(), n);
-  }
   std::uint64_t total_bytes = 0;
   if (writer) {
     total_bytes = writer->finish();
@@ -1112,16 +1072,15 @@ int cmd_serve(std::vector<std::string> args) {
   }
 
   // --audit: the acceptance gate. Rebuild the whole stack fresh from the
-  // snapshot's own graph (same naming, same ε clamp the builders use) and
-  // require every scheme's serve fingerprint to match the epoch's, then
-  // prove the container rejects a battery of truncations and bit flips.
+  // snapshot's own graph, ε and naming and require every scheme's serve
+  // fingerprint to match the epoch's, then prove the container rejects a
+  // battery of truncations and bit flips.
   std::printf("\naudit: rebuilding fresh stack from the snapshot graph...\n");
-  const Stack rebuilt(stack.graph, stack.epsilon, stack.naming.get());
   const std::size_t audit_pairs =
       std::min<std::size_t>(static_cast<std::size_t>(pairs), 512);
   const audit::ServeFingerprints fresh = audit::serve_fingerprints(
-      rebuilt.metric.csr(), rebuilt.hierarchy, rebuilt.naming, rebuilt.hier,
-      rebuilt.sf, rebuilt.simple, rebuilt.sfni, audit_pairs, seed);
+      build_stack(stack.graph, stack.epsilon, g_metric_options, *stack.naming),
+      audit_pairs, seed);
   const std::uint64_t fresh_by_scheme[kNumServeSchemes] = {
       fresh.hier, fresh.scale_free, fresh.simple, fresh.scale_free_ni};
   ServeOptions fp_only;
@@ -1239,9 +1198,11 @@ int cmd_server(std::vector<std::string> args) {
   Server server(options);
 
   std::uint64_t next_epoch_id = 0;
+  const auto path_of = [&](std::uint64_t id) -> const std::string& {
+    return (id % 2 == 1) ? snap_b : snap_a;
+  };
   const auto load_next = [&](std::uint64_t id) {
-    const std::string& path = (id % 2 == 1) ? snap_b : snap_a;
-    return ServerEpoch::load(path, use_mmap, id);
+    return ServerEpoch::load(path_of(id), use_mmap, id);
   };
   std::shared_ptr<ServerEpoch> first = load_next(next_epoch_id++);
   const std::size_t n = first->n();
@@ -1255,15 +1216,30 @@ int cmd_server(std::vector<std::string> args) {
       source_path.empty() ? traffic_shape_name(traffic.shape) : "replayed");
 
   // Request stream: schemes the first epoch serves (subset snapshots skip the
-  // absent ones). Both snapshots must agree on n and scheme set — enforced at
-  // each publish below.
-  std::vector<ServeScheme> mix;
-  for (std::size_t s = 0; s < kNumServeSchemes; ++s) {
-    if (first->has(static_cast<ServeScheme>(s))) {
-      mix.push_back(static_cast<ServeScheme>(s));
+  // absent ones). A reloaded epoch must serve that same stream, so one whose
+  // n or scheme set differs is never published (`matches`, checked before
+  // each publish below).
+  const auto schemes_of = [](const ServerEpoch& epoch) {
+    std::vector<ServeScheme> present;
+    for (std::size_t s = 0; s < kNumServeSchemes; ++s) {
+      if (epoch.has(static_cast<ServeScheme>(s))) {
+        present.push_back(static_cast<ServeScheme>(s));
+      }
     }
-  }
+    return present;
+  };
+  const std::vector<ServeScheme> mix = schemes_of(*first);
   CR_CHECK_MSG(!mix.empty(), "snapshot serves no scheme");
+  const auto matches = [&](const ServerEpoch& next) {
+    const std::vector<ServeScheme> schemes = schemes_of(next);
+    if (next.n() == n && schemes == mix) return true;
+    std::fprintf(stderr,
+                 "server: reload of %s (n = %zu, %zu schemes) does not match "
+                 "the serving %s (n = %zu, %zu schemes); not published\n",
+                 path_of(next.id()).c_str(), next.n(), schemes.size(),
+                 snap_a.c_str(), n, mix.size());
+    return false;
+  };
 
   std::vector<ServerRequest> stream;
   if (!source_path.empty()) {
@@ -1347,7 +1323,7 @@ int cmd_server(std::vector<std::string> args) {
       // it finishes faster than a cycle.
       if (pending.valid()) {
         std::shared_ptr<ServerEpoch> next = pending.get();
-        CR_CHECK_MSG(next->n() == n, "reload snapshot changed node count");
+        if (!matches(*next)) return 1;
         server.publish(std::move(next));
       }
       const std::uint64_t id = next_epoch_id++;
@@ -1358,7 +1334,7 @@ int cmd_server(std::vector<std::string> args) {
         pending.wait_for(std::chrono::seconds(0)) ==
             std::future_status::ready) {
       std::shared_ptr<ServerEpoch> next = pending.get();
-      CR_CHECK_MSG(next->n() == n, "reload snapshot changed node count");
+      if (!matches(*next)) return 1;
       server.publish(std::move(next));
     }
   }
@@ -1366,7 +1342,9 @@ int cmd_server(std::vector<std::string> args) {
   if (pending.valid()) {
     // A load still in flight at stream end: publish it anyway so the swap
     // counter reflects every initiated reload, then retire immediately.
-    server.publish(pending.get());
+    std::shared_ptr<ServerEpoch> next = pending.get();
+    if (!matches(*next)) return 1;
+    server.publish(std::move(next));
   }
   const double elapsed_s =
       std::chrono::duration<double>(Clock::now() - t0).count();

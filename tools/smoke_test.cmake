@@ -57,6 +57,24 @@ expect_written(${serving_json})
 # completion or as a one-way pipeline, so a cmake script cannot place a file
 # rewrite between `crtool server`'s epoch load and its next reload.
 
+# A reload must serve the first snapshot's request stream: a snapshot that
+# lacks one of its schemes, or has another n, is never published, and the
+# server exits 1. The subset reload lands mid-stream; the 10x10 one is still
+# in flight when the stream ends.
+set(full_snap ${dir}/smoke_full12.snap)
+set(light_snap ${dir}/smoke_light12.snap)
+set(other_snap ${dir}/smoke_other10.snap)
+crtool_exits(0 gen grid ${dir}/smoke_grid12.graph 12 12)
+crtool_exits(0 gen grid ${dir}/smoke_grid10.graph 10 10)
+crtool_exits(0 build ${dir}/smoke_grid12.graph 0.5 --out ${full_snap})
+crtool_exits(0 build ${dir}/smoke_grid12.graph 0.5 --schemes light
+             --out ${light_snap})
+crtool_exits(0 build ${dir}/smoke_grid10.graph 0.5 --out ${other_snap})
+crtool_exits(1 server ${full_snap} ${light_snap} --requests 4000
+             --reload-every 500 --queue-depth 64)
+crtool_exits(1 server ${full_snap} ${other_snap} --requests 4000
+             --reload-every 1000)
+
 # A corrupted snapshot must be rejected with exit 1 (typed error, no crash).
 # The exhaustive truncation/bit-flip battery runs in test_snapshot and inside
 # `serve --audit` above; here the CLI path is exercised with a file that has
@@ -106,9 +124,11 @@ crtool_exits(2 frobnicate)
 # Unknown flags and surplus arguments are usage errors, not silently ignored
 # typos. Each command line is otherwise valid, so only the last token can
 # turn it into exit 2 — except `save`, which was folded into `build --out`
-# and is now an unknown command.
+# and is now an unknown command. `build --stream` is gone too: `--out`
+# always streams.
 set(bogus_cases
     "build|${graph}|0.5|--bogus-flag"
+    "build|${graph}|0.5|--out|${snap}.stream|--stream"
     "serve|${snap}|--pairs|10|--bogus-flag"
     "server|${snap}|--requests|10|--bogus-flag"
     "mine|${graph}|${mined}.bogus|--samples|10|--keep|2|--bogus-flag"
