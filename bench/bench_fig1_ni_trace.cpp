@@ -15,8 +15,9 @@ using namespace compactroute::bench;
 
 int main() {
   const double eps = 0.4;
-  Stack stack(make_random_geometric(256, 2, 5, 77), eps);
-  stack.build_name_independent();
+  const SnapshotStack stack =
+      build_stack(make_random_geometric(256, 2, 5, 77), eps);
+  const MetricSpace& metric = *stack.metric;
   Prng prng(3);
 
   std::printf("Figure 1 (executable): Algorithm 3 traces on geometric-256, "
@@ -28,13 +29,13 @@ int main() {
 
   double worst = 0;
   for (int trial = 0; trial < 18; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(stack.metric.n()));
-    NodeId v = static_cast<NodeId>(prng.next_below(stack.metric.n() - 1));
+    const NodeId u = static_cast<NodeId>(prng.next_below(metric.n()));
+    NodeId v = static_cast<NodeId>(prng.next_below(metric.n() - 1));
     if (v >= u) ++v;
     SimpleNameIndependentScheme::Trace trace;
     const RouteResult r =
-        stack.simple_ni->route_with_trace(u, stack.naming.name_of(v), &trace);
-    const Weight d = stack.metric.dist(u, v);
+        stack.simple->route_with_trace(u, stack.naming->name_of(v), &trace);
+    const Weight d = metric.dist(u, v);
     const double stretch = r.cost / d;
     worst = std::max(worst, stretch);
     std::printf("%5u %5u %9.3f %6d %10.3f %10.3f %10.3f %10.3f %9.3f\n", u, v, d,
@@ -46,16 +47,16 @@ int main() {
   // The level histogram: labels of distant nodes are found at higher levels —
   // the locality the search hierarchy is built for.
   std::printf("\nfound-level histogram over 3000 random pairs:\n");
-  std::vector<std::size_t> histogram(stack.hierarchy.top_level() + 1, 0);
+  std::vector<std::size_t> histogram(stack.hierarchy->top_level() + 1, 0);
   for (int trial = 0; trial < 3000; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(stack.metric.n()));
-    NodeId v = static_cast<NodeId>(prng.next_below(stack.metric.n() - 1));
+    const NodeId u = static_cast<NodeId>(prng.next_below(metric.n()));
+    NodeId v = static_cast<NodeId>(prng.next_below(metric.n() - 1));
     if (v >= u) ++v;
     SimpleNameIndependentScheme::Trace trace;
-    stack.simple_ni->route_with_trace(u, stack.naming.name_of(v), &trace);
+    stack.simple->route_with_trace(u, stack.naming->name_of(v), &trace);
     ++histogram[trace.found_level];
   }
-  for (int i = 0; i <= stack.hierarchy.top_level(); ++i) {
+  for (int i = 0; i <= stack.hierarchy->top_level(); ++i) {
     if (histogram[i] == 0) continue;
     std::printf("  level %2d: %5zu  ", i, histogram[i]);
     for (std::size_t b = 0; b < histogram[i] / 25; ++b) std::putchar('#');

@@ -55,11 +55,12 @@ int main() {
   // Our scheme on the adversarial topology.
   std::printf("\nTheorem 1.1 scheme on the lower-bound tree (eps=0.5):\n");
   {
-    Stack stack(make_lower_bound_tree(6.0, 700).graph, 0.5);
-    stack.build_name_independent();
+    const SnapshotStack stack =
+        build_stack(make_lower_bound_tree(6.0, 700).graph, 0.5);
+    const MetricSpace& metric = *stack.metric;
     Prng prng(9);
     const StretchStats stats = evaluate_name_independent(
-        *stack.sf_ni, stack.metric, stack.naming, 3000, prng);
+        *stack.sfni, metric, *stack.naming, 3000, prng);
     std::printf("  measured stretch: max %.3f avg %.3f (failures %zu)\n",
                 stats.max_stretch, stats.avg_stretch(), stats.failures);
     std::printf("  consistent with the [9 - eps', 9 + O(eps)] band: the\n"

@@ -127,26 +127,26 @@ int main(int argc, char** argv) {
   MetricOptions rowfree;
   rowfree.backend = MetricBackendKind::kRowFree;
 
-  for (FamilySpec& family : make_families(check)) {
+  for (const FamilySpec& family : make_families(check)) {
     const std::size_t n = family.graph.num_nodes();
     const std::size_t m = family.graph.num_edges();
 
-    // Row-free pipeline end to end: the same MetricSpace serves the
-    // doubling estimate and all four scheme builds, and no full metric row
-    // may ever materialize (acceptance tripwire).
-    bench::Stack stack(std::move(family.graph), kEps, 4242, rowfree);
+    // Row-free pipeline end to end: the same MetricSpace serves all four
+    // scheme builds and the doubling estimate, and no full metric row may
+    // ever materialize (acceptance tripwire).
     const std::uint64_t rows_before = rows_materialized();
+    const SnapshotStack stack = build_stack(family.graph, kEps, rowfree);
+    const MetricSpace& metric = *stack.metric;
+    CR_CHECK_MSG(rows_materialized() == rows_before,
+                 "row-free scheme build materialized a metric row");
     Prng dim_prng(1);
     const DoublingEstimate dim =
-        estimate_doubling_dimension(stack.metric, dim_centers, dim_prng);
+        estimate_doubling_dimension(metric, dim_centers, dim_prng);
     const std::uint64_t dim_rows = rows_materialized() - rows_before;
     CR_CHECK_MSG(dim_rows == 0,
                  "row-free doubling estimation materialized a metric row");
-    stack.build_name_independent();
-    CR_CHECK_MSG(rows_materialized() == rows_before,
-                 "row-free scheme build materialized a metric row");
 
-    const ShortestPathScheme sp(stack.metric);
+    const ShortestPathScheme sp(metric);
     const StorageStats sp_storage = bench::storage_of(sp, n);
 
     obs::JsonValue entry = obs::JsonValue::object();
@@ -173,32 +173,32 @@ int main(int argc, char** argv) {
     {
       Prng prng(kEvalSeed);
       rows.push_back({"labeled-hierarchical",
-                      evaluate_labeled(*stack.hier_labeled, stack.metric,
+                      evaluate_labeled(*stack.hier, metric,
                                        stretch_samples, prng),
-                      bench::storage_of(*stack.hier_labeled, n)});
+                      bench::storage_of(*stack.hier, n)});
     }
     {
       Prng prng(kEvalSeed);
       rows.push_back({"labeled-scale-free",
-                      evaluate_labeled(*stack.sf_labeled, stack.metric,
+                      evaluate_labeled(*stack.sf, metric,
                                        stretch_samples, prng),
-                      bench::storage_of(*stack.sf_labeled, n)});
+                      bench::storage_of(*stack.sf, n)});
     }
     {
       Prng prng(kEvalSeed);
       rows.push_back({"ni-simple",
-                      evaluate_name_independent(*stack.simple_ni, stack.metric,
-                                                stack.naming, stretch_samples,
+                      evaluate_name_independent(*stack.simple, metric,
+                                                *stack.naming, stretch_samples,
                                                 prng),
-                      bench::storage_of(*stack.simple_ni, n)});
+                      bench::storage_of(*stack.simple, n)});
     }
     {
       Prng prng(kEvalSeed);
       rows.push_back({"ni-scale-free",
-                      evaluate_name_independent(*stack.sf_ni, stack.metric,
-                                                stack.naming, stretch_samples,
+                      evaluate_name_independent(*stack.sfni, metric,
+                                                *stack.naming, stretch_samples,
                                                 prng),
-                      bench::storage_of(*stack.sf_ni, n)});
+                      bench::storage_of(*stack.sfni, n)});
     }
 
     bool first_row = true;

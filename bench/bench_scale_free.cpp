@@ -27,15 +27,16 @@ int main() {
   const std::pair<std::size_t, std::size_t> family[] = {
       {6, 12}, {8, 9}, {9, 8}, {12, 6}, {18, 4}, {24, 3}, {36, 2}};
   for (const auto& [arms, len] : family) {
-    Stack stack(make_exponential_spider(arms, len), eps);
-    stack.build_name_independent();
-    const StorageStats hier = storage_of(*stack.hier_labeled, stack.metric.n());
-    const StorageStats sf = storage_of(*stack.sf_labeled, stack.metric.n());
-    const StorageStats sni = storage_of(*stack.simple_ni, stack.metric.n());
-    const StorageStats sfni = storage_of(*stack.sf_ni, stack.metric.n());
+    const SnapshotStack stack =
+        build_stack(make_exponential_spider(arms, len), eps);
+    const MetricSpace& metric = *stack.metric;
+    const StorageStats hier = storage_of(*stack.hier, metric.n());
+    const StorageStats sf = storage_of(*stack.sf, metric.n());
+    const StorageStats sni = storage_of(*stack.simple, metric.n());
+    const StorageStats sfni = storage_of(*stack.sfni, metric.n());
     std::printf("%6zu %6zu %8.1f %7d | %12.0f %12.0f | %12.0f %12.0f\n", arms,
-                stack.metric.n(), std::log2(stack.metric.delta()),
-                stack.hierarchy.top_level(), hier.avg_bits, sf.avg_bits,
+                metric.n(), std::log2(metric.delta()),
+                stack.hierarchy->top_level(), hier.avg_bits, sf.avg_bits,
                 sni.avg_bits, sfni.avg_bits);
   }
   std::printf("\nShape check: the hier-lab and simple-ni columns grow with "

@@ -18,14 +18,15 @@ int main() {
   print_rule(96);
 
   for (const std::size_t n : {64u, 128u, 256u, 512u, 768u, 1024u}) {
-    Stack stack(make_random_geometric(n, 2, 5, 3000 + n), eps);
-    stack.build_name_independent();
-    const ShortestPathScheme oracle(stack.metric);
+    const SnapshotStack stack =
+        build_stack(make_random_geometric(n, 2, 5, 3000 + n), eps);
+    const MetricSpace& metric = *stack.metric;
+    const ShortestPathScheme oracle(metric);
     const double log3 = std::pow(std::log2(static_cast<double>(n)), 3.0);
-    const StorageStats orc = storage_of(oracle, stack.metric.n());
-    const StorageStats hier = storage_of(*stack.hier_labeled, stack.metric.n());
-    const StorageStats sf = storage_of(*stack.sf_labeled, stack.metric.n());
-    const StorageStats sfni = storage_of(*stack.sf_ni, stack.metric.n());
+    const StorageStats orc = storage_of(oracle, metric.n());
+    const StorageStats hier = storage_of(*stack.hier, metric.n());
+    const StorageStats sf = storage_of(*stack.sf, metric.n());
+    const StorageStats sfni = storage_of(*stack.sfni, metric.n());
     std::printf("%6zu %8.0f | %10.0f | %12.0f %12.0f %12.0f | %14.1f\n", n, log3,
                 orc.avg_bits, hier.avg_bits, sf.avg_bits, sfni.avg_bits,
                 sfni.avg_bits / log3);

@@ -20,19 +20,20 @@ int main() {
   print_rule(84);
 
   for (const double eps : {0.5, 0.4, 0.3, 0.2, 0.125}) {
-    Stack stack(make_random_geometric(256, 2, 5, 2024), eps);
-    stack.build_name_independent();
+    const SnapshotStack stack =
+        build_stack(make_random_geometric(256, 2, 5, 2024), eps);
+    const MetricSpace& metric = *stack.metric;
     Prng prng(13);
     const StretchStats hier =
-        evaluate_labeled(*stack.hier_labeled, stack.metric, samples, prng);
+        evaluate_labeled(*stack.hier, metric, samples, prng);
     const StretchStats sf =
-        evaluate_labeled(*stack.sf_labeled, stack.metric, samples, prng);
+        evaluate_labeled(*stack.sf, metric, samples, prng);
     const StretchStats sni = evaluate_name_independent(
-        *stack.simple_ni, stack.metric, stack.naming, samples, prng);
+        *stack.simple, metric, *stack.naming, samples, prng);
     const StretchStats sfni = evaluate_name_independent(
-        *stack.sf_ni, stack.metric, stack.naming, samples, prng);
-    const StorageStats sf_bits = storage_of(*stack.sf_labeled, stack.metric.n());
-    const StorageStats sfni_bits = storage_of(*stack.sf_ni, stack.metric.n());
+        *stack.sfni, metric, *stack.naming, samples, prng);
+    const StorageStats sf_bits = storage_of(*stack.sf, metric.n());
+    const StorageStats sfni_bits = storage_of(*stack.sfni, metric.n());
     std::printf("%6.3f | %9.3f %9.3f | %9.3f %9.3f | %12.0f %12.0f\n", eps,
                 hier.max_stretch, sf.max_stretch, sni.max_stretch,
                 sfni.max_stretch, sf_bits.avg_bits, sfni_bits.avg_bits);

@@ -34,26 +34,27 @@ int main() {
   doc["rows"] = obs::JsonValue::array();
   doc["phases_ms"] = obs::JsonValue::object();
 
-  for (auto& [name, graph] : table_graphs()) {
-    Stack stack(std::move(graph), eps);
-    stack.build_name_independent();
-    doc["phases_ms"][name] = stack.phases_to_json();
+  for (const auto& [name, graph] : table_graphs()) {
+    const PreprocessPhases phases;
+    const SnapshotStack stack = build_stack(graph, eps);
+    const MetricSpace& metric = *stack.metric;
+    doc["phases_ms"][name] = phases.to_json();
     Prng prng(7);
 
-    const HashLocationScheme baseline(stack.metric, stack.naming);
+    const HashLocationScheme baseline(metric, *stack.naming);
     struct Row {
       const NameIndependentScheme* scheme;
       const char* label;
     };
     const Row rows[] = {
         {&baseline, "hash-location"},
-        {stack.simple_ni.get(), "Thm1.4 simple"},
-        {stack.sf_ni.get(), "Thm1.1 scale-free"},
+        {stack.simple.get(), "Thm1.4 simple"},
+        {stack.sfni.get(), "Thm1.1 scale-free"},
     };
     for (const Row& row : rows) {
       const StretchStats stats = evaluate_name_independent(
-          *row.scheme, stack.metric, stack.naming, samples, prng);
-      const StorageStats storage = storage_of(*row.scheme, stack.metric.n());
+          *row.scheme, metric, *stack.naming, samples, prng);
+      const StorageStats storage = storage_of(*row.scheme, metric.n());
       std::printf("%-14s %-22s %9.3f %9.3f %9.3f %12zu %12.0f %8zu%s\n",
                   name.c_str(), row.label, stats.max_stretch,
                   stats.avg_stretch(), stats.p95(), storage.max_bits,
@@ -62,17 +63,17 @@ int main() {
 
       obs::JsonValue entry = obs::JsonValue::object();
       entry["graph"] = name;
-      entry["n"] = stack.metric.n();
-      entry["delta"] = stack.metric.delta();
-      entry["levels"] = stack.hierarchy.top_level();
+      entry["n"] = metric.n();
+      entry["delta"] = metric.delta();
+      entry["levels"] = stack.hierarchy->top_level();
       entry["scheme"] = row.label;
       entry["stretch"] = stretch_to_json(stats);
       entry["storage"] = storage_to_json(storage);
       entry["header_bits"] = row.scheme->header_bits();
       doc["rows"].push_back(std::move(entry));
     }
-    std::printf("  (n=%zu, Delta=%.3g, levels=%d)\n\n", stack.metric.n(),
-                stack.metric.delta(), stack.hierarchy.top_level());
+    std::printf("  (n=%zu, Delta=%.3g, levels=%d)\n\n", metric.n(),
+                metric.delta(), stack.hierarchy->top_level());
   }
   std::printf("Shape check vs paper: both compact schemes stay below 9+O(eps) "
               "stretch;\nthe scale-free scheme's tables do not grow with log "

@@ -15,8 +15,6 @@
 #include "io/snapshot.hpp"
 #include "labeled/hierarchical_labeled.hpp"
 #include "labeled/scale_free_labeled.hpp"
-#include "nameind/scale_free_nameind.hpp"
-#include "nameind/simple_nameind.hpp"
 #include "nets/rnet.hpp"
 #include "obs/json_export.hpp"
 #include "obs/sharded.hpp"
@@ -26,19 +24,49 @@
 
 namespace compactroute::bench {
 
-/// Everything the experiments need for one (graph, ε) configuration.
-///
-/// Phase timings: the constructors meter themselves into the sharded registry
+/// Per-phase construction cost of whatever is built after this object is
+/// made. The constructors meter themselves into the sharded registry
 /// (CR_OBS_SCOPED_TIMER), but benches sweep many graph families through one
-/// process, so the raw scraped totals conflate families. The Stack snapshots
-/// every `preprocess.*` timer before building anything; phases_to_json()
-/// reports the deltas accumulated since — i.e. this Stack's own construction
-/// cost, per phase, regardless of what ran before it in the process.
+/// process, so the raw scraped totals conflate families. PreprocessPhases
+/// snapshots every `preprocess.*` timer when constructed; to_json() reports
+/// the deltas accumulated since, in milliseconds, keyed by timer name. Under
+/// CR_OBS_DISABLED every delta is 0.
+class PreprocessPhases {
+ public:
+  PreprocessPhases() {
+    const auto scraped = obs::scrape_global();
+    for (const auto& [name, timer] : scraped->timers()) {
+      if (is_phase(name)) before_[name] = timer.total_ms();
+    }
+  }
+
+  obs::JsonValue to_json() const {
+    obs::JsonValue v = obs::JsonValue::object();
+    const auto scraped = obs::scrape_global();
+    for (const auto& [name, timer] : scraped->timers()) {
+      if (!is_phase(name)) continue;
+      const auto it = before_.find(name);
+      v[name] = timer.total_ms() - (it == before_.end() ? 0 : it->second);
+    }
+    return v;
+  }
+
+ private:
+  static bool is_phase(const std::string& name) {
+    return name.rfind("preprocess.", 0) == 0;
+  }
+
+  std::map<std::string, double> before_;
+};
+
+/// The metric, nets and naming of one (graph, ε) configuration, with the
+/// labeled schemes built on demand — for the benches that measure labeled
+/// schemes alone or build their own variants on these parts. Benches that
+/// need the whole four-scheme stack call build_stack() (io/snapshot.hpp).
 struct Stack {
-  Stack(Graph g, double eps, std::uint64_t naming_seed = 4242,
+  Stack(Graph g, double eps, std::uint64_t naming_seed = kStackNamingSeed,
         MetricOptions metric_options = {})
-      : phase_snapshot_(snapshot_preprocess_timers()),  // before metric(graph)
-        graph(std::move(g)),
+      : graph(std::move(g)),
         epsilon(eps),
         metric(graph, metric_options),
         hierarchy(metric),
@@ -53,44 +81,13 @@ struct Stack {
     }
   }
 
-  void build_name_independent() {
-    build_labeled();
-    if (!simple_ni) {
-      simple_ni = std::make_unique<SimpleNameIndependentScheme>(
-          metric, hierarchy, naming, *hier_labeled, epsilon);
-      sf_ni = std::make_unique<ScaleFreeNameIndependentScheme>(
-          metric, hierarchy, naming, *sf_labeled, epsilon);
-    }
-  }
-
   /// Per-phase construction cost of THIS stack (metric, nets, and whichever
-  /// schemes have been built so far), in milliseconds, keyed by the
-  /// registry's `preprocess.*` timer names. Call after the builds of
-  /// interest; under CR_OBS_DISABLED every delta is 0.
-  obs::JsonValue phases_to_json() const {
-    obs::JsonValue v = obs::JsonValue::object();
-    const auto scraped = obs::scrape_global();
-    for (const auto& [name, timer] : scraped->timers()) {
-      if (name.rfind("preprocess.", 0) != 0) continue;
-      const auto it = phase_snapshot_.find(name);
-      const double before = it == phase_snapshot_.end() ? 0 : it->second;
-      v[name] = timer.total_ms() - before;
-    }
-    return v;
-  }
-
-  static std::map<std::string, double> snapshot_preprocess_timers() {
-    std::map<std::string, double> snap;
-    const auto scraped = obs::scrape_global();
-    for (const auto& [name, timer] : scraped->timers()) {
-      if (name.rfind("preprocess.", 0) == 0) snap[name] = timer.total_ms();
-    }
-    return snap;
-  }
+  /// schemes have been built so far).
+  obs::JsonValue phases_to_json() const { return phases_.to_json(); }
 
   // Declared first so the snapshot is taken before any member constructor
   // below starts a preprocess timer.
-  std::map<std::string, double> phase_snapshot_;
+  PreprocessPhases phases_;
   Graph graph;
   double epsilon;
   MetricSpace metric;
@@ -98,8 +95,6 @@ struct Stack {
   Naming naming;
   std::unique_ptr<HierarchicalLabeledScheme> hier_labeled;
   std::unique_ptr<ScaleFreeLabeledScheme> sf_labeled;
-  std::unique_ptr<SimpleNameIndependentScheme> simple_ni;
-  std::unique_ptr<ScaleFreeNameIndependentScheme> sf_ni;
 };
 
 template <typename Scheme>

@@ -690,14 +690,21 @@ std::vector<std::uint8_t> container_header(
   return header;
 }
 
-/// Flushes the finished temporary `tmp` to stable storage and renames it over
-/// `path`. Readers of the old file, mappings included, keep its inode.
-void commit_file(const std::string& tmp, const std::string& path) {
 #if defined(__unix__) || defined(__APPLE__)
-  const int fd = ::open(tmp.c_str(), O_RDONLY);
+bool fsync_path(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
   const bool synced = fd >= 0 && ::fsync(fd) == 0;
   if (fd >= 0) ::close(fd);
-  if (!synced) {
+  return synced;
+}
+#endif
+
+/// Flushes the finished temporary `tmp` to stable storage, renames it over
+/// `path`, and flushes the rename (the parent directory). Readers of the old
+/// file, mappings included, keep its inode.
+void commit_file(const std::string& tmp, const std::string& path) {
+#if defined(__unix__) || defined(__APPLE__)
+  if (!fsync_path(tmp)) {
     std::remove(tmp.c_str());
     throw SnapshotError("cannot fsync " + tmp);
   }
@@ -706,6 +713,13 @@ void commit_file(const std::string& tmp, const std::string& path) {
     std::remove(tmp.c_str());
     throw SnapshotError("cannot rename " + tmp + " to " + path);
   }
+#if defined(__unix__) || defined(__APPLE__)
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  if (!fsync_path(dir)) throw SnapshotError("cannot fsync directory " + dir);
+#endif
 }
 
 }  // namespace
@@ -1142,7 +1156,7 @@ SnapshotStack build_stack(const Graph& graph, double epsilon,
   stack.delta = metric.delta();
   stack.num_levels = metric.num_levels();
   stack.graph = metric.graph();
-  stack.csr = CsrGraph(stack.graph);
+  stack.csr = metric.csr();
   stack.hierarchy = std::make_unique<NetHierarchy>(metric);
   const NetHierarchy& hierarchy = *stack.hierarchy;
   stack.naming = std::make_unique<Naming>(

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -246,21 +247,28 @@ TEST(RowFreeBuild, SubsetSnapshotRejectsMissingDependencies) {
   }
 }
 
-// A half-written stream (no finish()) must not leave a loadable snapshot at
-// its path, so a crashed build can never be mistaken for a valid one.
+// A half-written stream (no finish()) must never be loadable: its sections go
+// to `<path>.tmp` under a zeroed placeholder header (no magic), that
+// temporary is removed when the writer is dropped, and nothing ever reaches
+// `path` — so a crashed build can never be mistaken for a valid snapshot.
 TEST(RowFreeBuild, UnfinishedStreamIsNotLoadable) {
   WorkerGuard guard;
   Executor::global().set_workers(2);
   const SnapshotStack s = geometric_stack(MetricOptions{});
   const std::string path = temp_path("cr_rowfree_unfinished.snap");
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove(path);
   {
     SnapshotStreamWriter writer(path);
     writer.add_meta(*s.metric, kEps);
     writer.add_graph(*s.metric);
-    // Destroyed without finish(): the sections went to a temporary that is
-    // never renamed over `path`.
+    ASSERT_TRUE(std::filesystem::exists(tmp));
+    EXPECT_THROW((void)decode_snapshot(read_snapshot_file(tmp)),
+                 SnapshotError);
+    EXPECT_FALSE(std::filesystem::exists(path));
   }
-  EXPECT_THROW((void)load_snapshot_file(path), SnapshotError);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 }  // namespace

@@ -825,6 +825,8 @@ int cmd_build(std::vector<std::string> args) {
     lap("ni.sf");
   }
   if (writer) writer->add_sfni(sfni.get(), n);
+  sfni.reset();  // written; --verify reads the file, not the schemes
+  sf.reset();
 
   std::uint64_t total_bytes = 0;
   if (writer) {
